@@ -68,9 +68,8 @@ def _evaluation_round(server, case, backend_spec, orderings, rate_limit=None):
         config=RageConfig(k=case.k),
     )
     context = probe.retrieve(case.query)
-    backend = make_backend(backend_spec)
-    cached = CachingLLM(llm, max_inflight=backend.capacity)
-    evaluator = ContextEvaluator(cached, context, backend=backend)
+    cached = CachingLLM(llm, make_backend(backend_spec))
+    evaluator = ContextEvaluator(cached, context)
     started = time.perf_counter()
     evaluations = evaluator.evaluate_many(orderings)
     elapsed = time.perf_counter() - started
@@ -131,7 +130,6 @@ def test_e17_rate_limiter_never_exceeds_configured_rps():
         answer_fn=simulated_answer_fn(case.knowledge)
     ) as server:
         llm = _remote(server, rate_limit=rate, rate_burst=burst)
-        backend = make_backend("asyncio:16")
         probe = Rage.from_corpus(
             case.corpus,
             SimulatedLLM(knowledge=case.knowledge),
@@ -139,7 +137,7 @@ def test_e17_rate_limiter_never_exceeds_configured_rps():
         )
         context = probe.retrieve(case.query)
         evaluator = ContextEvaluator(
-            CachingLLM(llm, max_inflight=backend.capacity), context, backend=backend
+            CachingLLM(llm, make_backend("asyncio:16")), context
         )
         evaluator.evaluate_many(prompts_needed)
         assert server.request_count == len(prompts_needed)

@@ -1,24 +1,17 @@
-"""E20 — Single-flight coalescing and cross-request micro-batch windows.
+"""E20 — Single-flight coalescing.
 
-PR 8 makes concurrent duplicate work cheap: the prompt cache grows a
+Concurrent duplicate work is cheap: the prompt cache keeps a
 single-flight registry (the second concurrent requester of a prompt
-awaits the first's in-flight call instead of dispatching its own), and
-the execution layer gains an opt-in micro-batch window that holds
-misses from *different* requests for a few milliseconds and flushes
-them as one native batch.  Shapes asserted:
+awaits the first's in-flight call instead of dispatching its own).
+Shapes asserted:
 
 1. **Thundering herd pays one call** — 16 threads racing one cold
-   prompt produce exactly one inner model call with single-flight on;
-   with it off, every racer dispatches its own.
+   prompt produce exactly one inner model call.
 2. **M tenants cost one tenant's calls** — four tenants replaying the
    same report concurrently against one server spend the same number
    of real LLM calls as a single tenant serially (dedup factor M >= 3),
    with byte-identical response bodies, and ``/metrics`` shows the
    coalescing counters moving.
-3. **Windows merge cross-request misses** — two requests exercising
-   one windowed engine at the same time land in shared flushes
-   (``merged_windows >= 1``, flush sizes > 1) without changing any
-   answer.
 
 Everything stays on loopback under the network guard.  Set
 ``BENCH_E20_OUT`` to write the wall-clock table as JSON (uploaded as a
@@ -35,9 +28,9 @@ from fakes import CountingLLM, LatencyLLM, http_json
 from repro import Rage, RageConfig, SimulatedLLM
 from repro.app.server import RageServer
 from repro.datasets import load_use_case
+from repro.exec import SerialBackend
 from repro.llm import PromptBuilder
 from repro.llm.cache import CachingLLM
-from repro.viz.ascii import render_combination_insights
 
 #: Simulated per-call model latency — long enough that a herd started
 #: behind a barrier is still in flight when the last racer looks up.
@@ -75,29 +68,18 @@ def test_e20_thundering_herd_pays_one_call():
         case.query, [doc.text for doc in list(case.corpus)[:3]]
     )
 
-    def racers(single_flight):
-        # Latency outermost: LatencyLLM only exposes per-prompt entry
-        # points, so the ladder never asks CountingLLM for a native
-        # batch its inner model cannot serve.
-        counting = CountingLLM(SimulatedLLM(knowledge=case.knowledge))
-        cached = CachingLLM(
-            LatencyLLM(counting, latency=LATENCY), single_flight=single_flight
-        )
-        answers, seconds = timed(_herd, cached, prompt, HERD)
-        assert len(set(answers)) == 1  # everyone saw the same result
-        return counting.calls, seconds
-
-    calls_on, seconds_on = racers(True)
-    calls_off, seconds_off = racers(False)
+    # Latency outermost: LatencyLLM only exposes per-prompt entry
+    # points, so the ladder never asks CountingLLM for a native batch
+    # its inner model cannot serve.
+    counting = CountingLLM(SimulatedLLM(knowledge=case.knowledge))
+    cached = CachingLLM(LatencyLLM(counting, latency=LATENCY), SerialBackend())
+    answers, seconds = timed(_herd, cached, prompt, HERD)
+    assert len(set(answers)) == 1  # everyone saw the same result
     RESULTS.append(
-        {"label": "herd:single-flight", "seconds": seconds_on, "calls": calls_on}
+        {"label": "herd:single-flight", "seconds": seconds, "calls": counting.calls}
     )
-    RESULTS.append(
-        {"label": "herd:off", "seconds": seconds_off, "calls": calls_off}
-    )
-    print_rows(f"E20 thundering herd ({HERD} threads, one prompt)", RESULTS[-2:])
-    assert calls_on == 1  # the whole herd shared one flight
-    assert calls_off > calls_on * 3  # without it, racers pile onto the model
+    print_rows(f"E20 thundering herd ({HERD} threads, one prompt)", RESULTS[-1:])
+    assert counting.calls == 1  # the whole herd shared one flight
 
 
 def _server_for(case):
@@ -181,58 +163,4 @@ def test_e20_concurrent_tenants_cost_one_tenants_calls():
     assert coalescing["single_flight"]["enabled"]
     assert coalescing["single_flight"]["flights"] > 0
     assert coalescing["single_flight"]["waiters_served"] > 0
-
-
-def test_e20_window_merges_cross_request_misses():
-    """Acceptance: concurrent requests on a windowed engine share
-    flushes (> 1 submission per window) without changing answers."""
-    case = load_use_case("big_three")
-    queries = [
-        case.query,
-        "Who is the best tennis player by head to head record?",
-    ]
-
-    def insights_for(rage):
-        rendered = [None] * len(queries)
-        barrier = threading.Barrier(len(queries))
-
-        def worker(i):
-            barrier.wait()
-            rendered[i] = render_combination_insights(
-                rage.combination_insights(queries[i])
-            )
-
-        threads = [
-            threading.Thread(target=worker, args=(i,))
-            for i in range(len(queries))
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60.0)
-        return rendered
-
-    def engine(**overrides):
-        return Rage.from_corpus(
-            case.corpus,
-            LatencyLLM(SimulatedLLM(knowledge=case.knowledge), latency=0.005),
-            config=RageConfig(k=case.k, **overrides),
-        )
-
-    baseline = insights_for(engine())
-    windowed_engine = engine(batch_window_ms=60.0)
-    windowed = insights_for(windowed_engine)
-    stats = windowed_engine.backend.window_stats
-    row = {
-        "label": "window:60ms",
-        "windows": stats.windows,
-        "merged": stats.merged_windows,
-        "mean_flush": round(stats.mean_flush_size, 1),
-        "max_flush": stats.max_flush,
-    }
-    RESULTS.append(row)
-    print_rows("E20 micro-batch window, 2 concurrent requests", [row])
-    assert windowed == baseline  # the window never changes answers
-    assert stats.merged_windows >= 1  # cross-request misses shared a flush
-    assert stats.max_flush > 1
     write_results("BENCH_E20_OUT", "e20_coalescing", RESULTS)

@@ -5,8 +5,8 @@ region into a serialization point: every other thread needing that
 lock stalls for the full duration of a sleep, a synchronous HTTP
 round-trip, or a model generation.  The project's hot paths were all
 *designed* around this — ``TokenBucket`` computes its wait under the
-lock but sleeps outside it, ``CoalescingBackend._flush`` snapshots the
-window under ``_window_lock`` and runs the inner backend after
+lock but sleeps outside it, ``SingleFlight.resolve`` retires a flight
+under its registry lock and wakes the flight's waiters after
 releasing — and this rule keeps that shape from regressing.
 
 Blocking is what the symbol layer classified: ``time.sleep``,

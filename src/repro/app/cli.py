@@ -55,13 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--query", default=None, help="override the canonical question")
         p.add_argument("--k", type=int, default=None, help="retrieval depth override")
         p.add_argument(
-            "--workers",
-            type=int,
-            default=None,
-            help="thread-pool width for batched evaluation on backends "
-            "without native batching (I/O-bound models only)",
-        )
-        p.add_argument(
             "--no-prune",
             action="store_true",
             help="disable answer-implication plan pruning (evaluate every "
@@ -160,21 +153,6 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar="N",
             help="consecutive transport failures before a provider's "
             "circuit breaker opens (default 5; requires --provider)",
-        )
-        p.add_argument(
-            "--no-single-flight",
-            action="store_true",
-            help="disable single-flight coalescing of concurrent identical "
-            "cache misses (restores the every-miss-dispatches path)",
-        )
-        p.add_argument(
-            "--batch-window-ms",
-            type=float,
-            default=None,
-            metavar="MS",
-            help="cross-request micro-batch window: hold evaluation batches "
-            "up to MS milliseconds and flush them merged as one native "
-            "batch (default: off)",
         )
         p.add_argument(
             "--index-dir",
@@ -365,8 +343,6 @@ def _config_overrides(args: argparse.Namespace, case) -> dict:
     overrides = dict(k=case.k)
     if args.k is not None:
         overrides["k"] = args.k
-    if getattr(args, "workers", None) is not None:
-        overrides["batch_workers"] = args.workers
     if getattr(args, "no_prune", False):
         overrides["plan_pruning"] = False
     if getattr(args, "backend", None) is not None:
@@ -394,10 +370,6 @@ def _config_overrides(args: argparse.Namespace, case) -> dict:
         overrides["hedge_delay"] = args.hedge_delay
     if getattr(args, "breaker_threshold", None) is not None:
         overrides["breaker_threshold"] = args.breaker_threshold
-    if getattr(args, "no_single_flight", False):
-        overrides["single_flight"] = False
-    if getattr(args, "batch_window_ms", None) is not None:
-        overrides["batch_window_ms"] = args.batch_window_ms
     if getattr(args, "index_dir", None) is not None:
         overrides["index_dir"] = args.index_dir
     if getattr(args, "retrieval_mode", None) is not None:
@@ -740,24 +712,11 @@ def _session_dispatch(args: argparse.Namespace, session: RageSession) -> int:
                     f"{stats.batches} batches covering {stats.batched_prompts} "
                     f"prompts, {stats.batched_misses} reached the model"
                 )
-                if llm.flights is not None:
-                    flights = llm.flights.stats
-                    print(
-                        f"Single-flight: {flights.flights} flights led, "
-                        f"{flights.coalesced} waiters served, "
-                        f"{flights.failures} failures"
-                    )
-            from ..exec.coalesce import CoalescingBackend
-
-            backend = session.rage.backend
-            if isinstance(backend, CoalescingBackend):
-                window = backend.window_stats
+                flights = llm.flights.stats
                 print(
-                    f"Batch window ({backend.window_ms:g} ms): "
-                    f"{window.windows} windows flushed "
-                    f"({window.merged_windows} merged), "
-                    f"mean flush size {window.mean_flush_size:.1f}, "
-                    f"max {window.max_flush}, {window.refunded} refunded"
+                    f"Single-flight: {flights.flights} flights led, "
+                    f"{flights.coalesced} waiters served, "
+                    f"{flights.failures} failures"
                 )
             inner = llm.inner if isinstance(llm, CachingLLM) else llm
             from ..llm.remote import RemoteLLM

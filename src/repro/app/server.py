@@ -81,7 +81,6 @@ from ..core.insights import CombinationInsights, PermutationInsights
 from ..core.permutation_cf import PermutationSearchResult
 from ..datasets.base import UseCase, load_use_case
 from ..errors import ConfigError, ValidationError
-from ..exec.coalesce import CoalescingBackend
 from ..llm.base import LanguageModel
 from ..llm.cache import CachingLLM
 from ..llm.remote import RemoteLLM
@@ -871,21 +870,7 @@ class RageServer:
                         "waiters_served": cache.flights.stats.coalesced,
                         "failures": cache.flights.stats.failures,
                     }
-                    if cache is not None and cache.flights is not None
-                    else {"enabled": False}
-                ),
-                "window": (
-                    {
-                        "enabled": True,
-                        "window_ms": backend.window_ms,
-                        "submissions": backend.window_stats.submissions,
-                        "windows_flushed": backend.window_stats.windows,
-                        "merged_windows": backend.window_stats.merged_windows,
-                        "mean_flush_size": backend.window_stats.mean_flush_size,
-                        "max_flush": backend.window_stats.max_flush,
-                        "refunded": backend.window_stats.refunded,
-                    }
-                    if isinstance(backend, CoalescingBackend)
+                    if cache is not None
                     else {"enabled": False}
                 ),
             },

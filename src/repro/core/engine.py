@@ -26,14 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..attention.positional import PositionPrior
 from ..errors import ConfigError
-from ..exec import (
-    DEFAULT_THREAD_WORKERS,
-    AsyncioBackend,
-    CoalescingBackend,
-    ExecutionBackend,
-    ThreadedBackend,
-    make_backend,
-)
+from ..exec import ExecutionBackend, make_backend
 from ..llm.base import GenerationResult, LanguageModel
 from ..llm.cache import CachingLLM
 from ..llm.remote import RemoteLLM, parse_model_spec
@@ -104,16 +97,12 @@ class RageConfig:
         used by optimal permutations.
     cache:
         Wrap the LLM in a prompt cache (recommended).
-    batch_workers:
-        Thread-pool width for batched evaluation when the LLM has no
-        native ``generate_batch`` (useful for I/O-bound remote
-        backends); ``None`` keeps batch misses sequential.  Shorthand
-        for ``backend="threaded:N"``.
     backend:
-        Execution-backend spec for every evaluation batch: ``serial``
-        (default), ``threaded[:N]`` (thread pool) or ``asyncio[:N]``
-        (event loop driving the LLM's async contract, at most ``N``
-        calls in flight).  See :mod:`repro.exec`.
+        Execution-backend spec: ``serial`` (default), ``threaded[:N]``
+        (thread pool) or ``asyncio[:N]`` (event loop driving the LLM's
+        async contract, at most ``N`` calls in flight).  With
+        ``cache=True`` it runs the prompt cache's misses; otherwise the
+        evaluator's batches.  See :mod:`repro.exec`.
     cache_dir:
         Directory for the content-addressed persistent generation
         store (:class:`~repro.llm.store.PromptStore`).  The prompt
@@ -122,22 +111,6 @@ class RageConfig:
         Requires ``cache=True``.
     cache_max_bytes:
         LRU size cap for the persistent store; ``None`` = unbounded.
-    single_flight:
-        Coalesce concurrent cache misses on the same key onto one real
-        LLM call (default on; see :mod:`repro.llm.coalesce`): the
-        second simultaneous requester of a prompt awaits the first's
-        in-flight result instead of dispatching its own.  The registry
-        lives on the prompt-cache wrapper, so with ``cache=False``
-        there is nothing to coalesce and the flag is inert.  ``False``
-        restores the historical every-miss-dispatches path verbatim.
-    batch_window_ms:
-        Opt-in cross-request micro-batch window (milliseconds): hold
-        the first evaluation batch submitted to the execution backend
-        open for up to this long, merge every batch that arrives in
-        the window — across requests and tenants — and flush them as
-        one native batch (see :mod:`repro.exec.coalesce`).  ``None``
-        (default) disables the window; it is a throughput/latency
-        trade that pays off when the model rewards bigger batches.
     search_batch_size:
         Un-memoized candidates per LLM batch inside the sequential
         counterfactual searches.  1 (default) is the paper's strictly
@@ -179,18 +152,16 @@ class RageConfig:
         key itself never lives in a config); unset variable =
         :class:`ConfigError` at engine construction.
     request_timeout:
-        Per-call deadline in seconds, enforced at the innermost
-        dispatch layer only (never stacked): for an engine-built
-        remote model it is the per-HTTP-request timeout — each retry
-        attempt gets its own deadline, so the retry policy stays
-        reachable and total time is bounded by roughly
-        ``(retries + 1) * request_timeout + retry_budget``; for local
-        models it deadlines each dispatched call (through the cache
-        wrapper when ``cache=True``, else at the backend) — note a
-        model exposing only a native batch entry point is one call, so
-        the bound covers its whole miss batch.  ``None`` keeps the
-        historical wait-forever behavior for local models; remote
-        models then use the transport default.
+        Per-call deadline in seconds.  For an engine-built remote model
+        it is the per-HTTP-request timeout, enforced by the transport —
+        each retry attempt gets its own deadline, so the retry policy
+        stays reachable and total time is bounded by roughly
+        ``(retries + 1) * request_timeout + retry_budget``.  For a model
+        handed to the engine the execution backend deadlines each call
+        it runs; a model exposing only a native batch entry point is
+        one call, so the bound covers its whole miss batch.  ``None``
+        waits forever for local models; remote models then use the
+        transport default.
     rate_limit / rate_burst:
         Token-bucket throttle for the remote model (requests/second and
         burst), shared across all concurrent calls; ``None`` =
@@ -219,7 +190,7 @@ class RageConfig:
         (5 failures, 30 s).  Require ``providers``.
     hedge:
         Fire a backup request on the next healthy provider once the
-        primary exceeds the hedge delay (async dispatch only); first
+        primary exceeds the hedge delay, on every backend; first
         response wins, the loser is cancelled and its rate-limit
         reservation refunded.  Requires ``providers``.
     hedge_delay:
@@ -256,12 +227,9 @@ class RageConfig:
     expected_prior: PositionPrior = PositionPrior.V_SHAPED
     expected_depth: float = 0.8
     cache: bool = True
-    batch_workers: Optional[int] = None
     backend: Optional[str] = None
     cache_dir: Optional[str] = None
     cache_max_bytes: Optional[int] = None
-    single_flight: bool = True
-    batch_window_ms: Optional[float] = None
     search_batch_size: int = 1
     plan_pruning: bool = True
     adaptive_search_batching: bool = False
@@ -288,8 +256,6 @@ class RageConfig:
             raise ConfigError(f"k must be positive, got {self.k}")
         if self.max_evaluations <= 0:
             raise ConfigError("max_evaluations must be positive")
-        if self.batch_workers is not None and self.batch_workers < 1:
-            raise ConfigError("batch_workers must be >= 1 (or None)")
         if self.search_batch_size < 1:
             raise ConfigError("search_batch_size must be >= 1")
         if self.cache_dir is not None and not self.cache:
@@ -297,11 +263,6 @@ class RageConfig:
                               "is a tier of the prompt cache)")
         if self.cache_max_bytes is not None and self.cache_max_bytes < 1:
             raise ConfigError("cache_max_bytes must be >= 1 (or None)")
-        if self.batch_window_ms is not None and self.batch_window_ms <= 0:
-            raise ConfigError(
-                f"batch_window_ms must be > 0 milliseconds (or None to "
-                f"disable the window), got {self.batch_window_ms}"
-            )
         if self.model is not None and self.providers is not None:
             raise ConfigError(
                 "model and providers are mutually exclusive: the provider "
@@ -424,11 +385,7 @@ class RageConfig:
             raise ConfigError(f"retries must be >= 0, got {self.retries}")
         if self.retry_budget < 0:
             raise ConfigError(f"retry_budget must be >= 0, got {self.retry_budget}")
-        make_backend(
-            self.backend,
-            batch_workers=self.batch_workers,
-            timeout=self.request_timeout,
-        )  # validate spec
+        make_backend(self.backend, timeout=self.request_timeout)  # validate spec
 
 
 #: Provider spec naming the deterministic simulated model as the last
@@ -606,29 +563,16 @@ class Rage:
         prompt_builder: Optional[PromptBuilder] = None,
     ) -> None:
         self.config = config or RageConfig()
-        # The per-call deadline is enforced at exactly ONE layer — the
-        # innermost dispatch that still sees individual prompts:
-        #
-        # * engine-built remote models enforce it inside the transport
-        #   (per HTTP request, so retries/throttling stay reachable);
-        #   no dispatch-level deadline on top, or the first hung
-        #   request would consume the whole budget and the configured
-        #   retries could never run;
-        # * with the cache on, CachingLLM deadlines its *miss*
-        #   dispatch per-call; the backend must not re-apply the bound
-        #   or it would treat the wrapper's batch entry point as one
-        #   call and deadline the whole (healthy) batch;
-        # * only a cache-less local model leaves enforcement to the
-        #   backend itself.
-        dispatch_timeout = self.config.request_timeout
+        timeout = self.config.request_timeout
         if llm is None:
             # ``config.model`` / ``config.providers`` name endpoints the
             # engine can build itself; every other model kind needs an
-            # instance.  No dispatch-level deadline on top: each member
-            # enforces its own transport timeout, and a dispatch bound
-            # would kill the router's failover walk mid-pool.
+            # instance.  Each member's transport owns the deadline: a
+            # dispatch-level bound on top would spend the whole budget
+            # on the first hung attempt and cut the router's failover
+            # walk mid-pool.
             llm = build_model_chain(self.config)
-            dispatch_timeout = None
+            timeout = None
         self.index = index
         if retrieval_scorer is None and self.config.retrieval_mode != "bm25":
             # Dense/hybrid ranking needs the vectors only a persistent
@@ -657,48 +601,18 @@ class Rage:
         else:
             self.searcher = Searcher(index, scorer=retrieval_scorer)
         self.backend: ExecutionBackend = make_backend(
-            self.config.backend,
-            batch_workers=self.config.batch_workers,
-            timeout=None if self.config.cache else dispatch_timeout,
+            self.config.backend, timeout=timeout
         )
         self.store: Optional[PromptStore] = (
             PromptStore(self.config.cache_dir, max_bytes=self.config.cache_max_bytes)
             if self.config.cache_dir is not None
             else None
         )
-        if self.config.cache:
-            # The backend's capacity must survive the cache boundary:
-            # CachingLLM forwards only *misses* to the inner model, so
-            # the backend's concurrency bound is handed to the wrapper —
-            # threaded width as the pool size, and `capacity` as the
-            # in-flight bound for async-capable inner models (serial
-            # stays serial: capacity 1).  Explicit batch_workers wins.
-            inner_workers = self.config.batch_workers
-            if inner_workers is None and isinstance(self.backend, ThreadedBackend):
-                inner_workers = self.backend.max_workers
-            elif inner_workers is None and isinstance(self.backend, AsyncioBackend):
-                # Sync-only inner models still deserve the requested
-                # concurrency: the in-flight bound doubles as the
-                # thread-pool width for the miss batch.
-                inner_workers = self.backend.max_inflight or DEFAULT_THREAD_WORKERS
-            self.llm: LanguageModel = CachingLLM(
-                llm,
-                batch_workers=inner_workers,
-                max_inflight=self.backend.capacity,
-                timeout=dispatch_timeout,
-                store=self.store,
-                single_flight=self.config.single_flight,
-            )
-        else:
-            self.llm = llm
-        if self.config.batch_window_ms is not None:
-            # Wrapped last, after the capacity hand-off above read the
-            # executing backend directly; the window layer reports the
-            # same capacity/timeout and merges concurrent evaluation
-            # batches before they reach it.
-            self.backend = CoalescingBackend(
-                self.backend, self.config.batch_window_ms
-            )
+        self.llm: LanguageModel = (
+            CachingLLM(llm, self.backend, store=self.store)
+            if self.config.cache
+            else llm
+        )
         self.prompt_builder = prompt_builder or DEFAULT_PROMPT_BUILDER
 
     @classmethod
@@ -1035,9 +949,5 @@ class Rage:
 
     def _evaluator(self, context: Context) -> ContextEvaluator:
         return ContextEvaluator(
-            self.llm,
-            context,
-            self.prompt_builder,
-            batch_workers=self.config.batch_workers,
-            backend=self.backend,
+            self.llm, context, self.prompt_builder, backend=self.backend
         )

@@ -8,13 +8,15 @@ so re-visited perturbations are free.
 
 :meth:`ContextEvaluator.evaluate_many` is the batched entry point: it
 deduplicates the requested orderings, consults the memo, and submits
-only the misses — as a single batch — through an
-:class:`~repro.exec.ExecutionBackend`, so batch execution policy
-(native batching, thread pools, asyncio) is decided in one place and
-every caller — evaluation plans, lattice probe rounds, candidate
-scans, counterfactual searches — inherits it without knowing.
-``llm_calls`` counts *misses only*, whichever entry point triggered
-them, making it the paper's LLM-call metric.
+only the misses as a single batch.  A prompt cache
+(:class:`~repro.llm.cache.CachingLLM`) takes the batch itself and sends
+its own misses through its :class:`~repro.exec.ExecutionBackend`; any
+other model gets the batch through the evaluator's backend.  Either way
+execution policy (native batching, thread pools, asyncio, deadlines) is
+decided in one place, and every caller — evaluation plans, lattice
+probe rounds, candidate scans, counterfactual searches — inherits it
+without knowing.  ``llm_calls`` counts *misses only*, whichever entry
+point triggered them, making it the paper's LLM-call metric.
 """
 
 from __future__ import annotations
@@ -31,8 +33,10 @@ from typing import (
     Tuple,
 )
 
-from ..exec import ExecutionBackend, make_backend
+from ..errors import ConfigError
+from ..exec import ExecutionBackend, SerialBackend
 from ..llm.base import GenerationResult, LanguageModel
+from ..llm.cache import CachingLLM
 from ..llm.prompts import DEFAULT_PROMPT_BUILDER, PromptBuilder
 from ..textproc import normalize_answer
 from .context import Context
@@ -58,16 +62,12 @@ class ContextEvaluator:
         The retrieved context whose perturbations are evaluated.
     prompt_builder:
         Prompt renderer; defaults to the paper's template.
-    batch_workers:
-        Optional thread-pool width for :meth:`evaluate_many` when the
-        model has no native ``generate_batch`` — useful for I/O-bound
-        backends (remote APIs), pointless for compute-bound ones.
-        Shorthand for ``backend=ThreadedBackend(batch_workers)``;
-        ignored when ``backend`` is given explicitly.
     backend:
         The :class:`~repro.exec.ExecutionBackend` every miss batch is
-        submitted through; ``None`` resolves the historical default
-        (threaded when ``batch_workers`` is set, else serial).
+        submitted through; ``None`` means serial.  A prompt cache
+        dispatches its misses through its own backend, so with one
+        ``None`` means the cache's backend and any other backend is a
+        :class:`~repro.errors.ConfigError`.
     """
 
     def __init__(
@@ -75,16 +75,19 @@ class ContextEvaluator:
         llm: LanguageModel,
         context: Context,
         prompt_builder: Optional[PromptBuilder] = None,
-        batch_workers: Optional[int] = None,
         backend: Optional[ExecutionBackend] = None,
     ) -> None:
         self.llm = llm
         self.context = context
         self.prompt_builder = prompt_builder or DEFAULT_PROMPT_BUILDER
-        self.batch_workers = batch_workers
-        self.backend = backend if backend is not None else make_backend(
-            None, batch_workers=batch_workers
-        )
+        if isinstance(llm, CachingLLM):
+            if backend is not None and backend is not llm.backend:
+                raise ConfigError(
+                    "a CachingLLM dispatches its misses through its own "
+                    "backend; pass backend=None or the cache's backend"
+                )
+            backend = llm.backend
+        self.backend = backend if backend is not None else SerialBackend()
         self._memo: Dict[Tuple[str, ...], Evaluation] = {}
         self._llm_calls = 0
 
@@ -118,7 +121,7 @@ class ContextEvaluator:
 
         Duplicate orderings and memo hits cost nothing; the distinct
         misses are rendered into prompts and submitted as one batch
-        through the execution backend.  Results align with
+        to the prompt cache or the execution backend.  Results align with
         ``orderings`` (one evaluation per entry, in input order), and
         every result is memoized for later single :meth:`evaluate`
         calls.
@@ -138,7 +141,10 @@ class ContextEvaluator:
                 for key in miss_order
             ]
             self._llm_calls += len(miss_order)
-            results = self.backend.run(self.llm, prompts)
+            if isinstance(self.llm, CachingLLM):
+                results = self.llm.generate_batch(prompts)
+            else:
+                results = self.backend.run(self.llm, prompts)
             for key, result in zip(miss_order, results):
                 self._memoize(key, result)
         return [self._memo[key] for key in keys]

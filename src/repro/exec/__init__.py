@@ -1,9 +1,9 @@
 """Execution layer: pluggable backends for running LLM call batches.
 
-See :mod:`repro.exec.backend` for the strategy catalogue; the
-evaluator (:class:`repro.core.evaluate.ContextEvaluator`) submits every
-batch through one of these, so explanation algorithms stay oblivious to
-how calls are executed.
+See :mod:`repro.exec.backend` for the strategy catalogue; the prompt
+cache's misses (or, with the cache off, the evaluator's batches) run
+through one of these, so explanation algorithms stay oblivious to how
+calls are executed.
 """
 
 from .backend import (
@@ -15,16 +15,13 @@ from .backend import (
     ThreadedBackend,
     make_backend,
 )
-from .coalesce import CoalescingBackend, WindowStats
 
 __all__ = [
     "DEFAULT_THREAD_WORKERS",
     "AsyncioBackend",
     "BackendStats",
-    "CoalescingBackend",
     "ExecutionBackend",
     "SerialBackend",
     "ThreadedBackend",
-    "WindowStats",
     "make_backend",
 ]

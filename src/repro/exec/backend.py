@@ -1,19 +1,24 @@
-"""Execution backends: *how* a batch of LLM calls runs.
+"""Execution backends: the one owner of *how* LLM calls run.
 
 :func:`repro.llm.base.batched_generate` answers the per-call question —
 which entry point of one model to use.  An :class:`ExecutionBackend`
-answers the policy question one level up: given the misses of one
-evaluation round, run them serially, across a thread pool, or on an
-asyncio event loop, with an explicit capacity (maximum in-flight LLM
-calls).  :class:`~repro.core.evaluate.ContextEvaluator.evaluate_many`
-is the single choke point that submits through a backend, so every
-explanation algorithm — evaluation plans, lattice probe rounds,
-candidate scans, both counterfactual searches — inherits the chosen
-execution strategy without knowing it exists.
+answers the policy question one level up, and is the only layer that
+does: given one batch of prompts that must reach the model, run them
+serially, across a thread pool, or on an asyncio event loop, with an
+explicit width, in-flight bound and per-call deadline.  With the
+prompt cache on (the default), every real model call an engine makes
+passes through its one backend, because
+:class:`~repro.llm.cache.CachingLLM` submits its misses there; with it
+off, :meth:`~repro.core.evaluate.ContextEvaluator.evaluate_many`
+submits its batches directly.  Every explanation algorithm — evaluation plans, lattice probe
+rounds, candidate scans, both counterfactual searches — therefore
+inherits the chosen execution strategy without knowing it exists.
 
 Backends never change *what* is computed: answers are byte-identical
 across all of them (the models are deterministic and results realign
-with the input order); only wall-clock and resource usage differ.
+with the input order); only wall-clock and resource usage differ.  A
+batch of one prompt never takes a batch entry point, so per-call
+extras a batch path may drop (a transformer's attention) survive.
 
 Choosing a backend
 ------------------
@@ -42,13 +47,11 @@ Choosing a backend
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..errors import ConfigError
 from ..llm.base import (
-    DEFAULT_MAX_INFLIGHT,
     GenerationResult,
     LanguageModel,
     abatched_generate,
@@ -60,14 +63,6 @@ from ..llm.base import (
 
 #: Thread-pool width when ``threaded`` is requested without a count.
 DEFAULT_THREAD_WORKERS = 8
-
-
-def _check_timeout(timeout: Optional[float]) -> Optional[float]:
-    if timeout is not None and timeout <= 0:
-        raise ConfigError(
-            f"timeout must be > 0 seconds (or None for no deadline), got {timeout}"
-        )
-    return timeout
 
 
 def _has_native_batch(model: LanguageModel) -> bool:
@@ -84,7 +79,8 @@ class BackendStats:
     evaluators, and all request threads of a serving process — so these
     counters describe the engine's whole evaluation traffic.
     ``batches``/``prompts`` count submissions through
-    :meth:`ExecutionBackend.run` / :meth:`ExecutionBackend.arun`;
+    :meth:`ExecutionBackend.run` (with the prompt cache on, misses
+    only);
     ``active`` the batches executing right now and ``max_active`` their
     high-water mark, which exceeds 1 exactly when concurrent callers
     (server request handlers) actually overlapped on the backend.
@@ -99,12 +95,9 @@ class BackendStats:
 class ExecutionBackend:
     """Strategy for executing one batch of prompts against one model.
 
-    Subclasses implement :meth:`run` (synchronous callers — the
-    evaluator) and may override :meth:`arun` (async callers — a future
-    serving layer); the default ``arun`` simply awaits nothing and
-    delegates, which is correct for backends that block anyway.
-    Subclass entry points wrap their body in :meth:`_track` so the
-    shared :class:`BackendStats` stay truthful whoever calls.
+    Subclasses implement :meth:`_dispatch`; :meth:`run` wraps it in the
+    shared :class:`BackendStats` accounting and answers a one-prompt
+    batch for a model with a native batch by one ``generate`` call.
 
     Attributes
     ----------
@@ -119,83 +112,59 @@ class ExecutionBackend:
         Optional per-call deadline (seconds) applied to every dispatch
         this backend runs; a hung prompt fails *that prompt* (raised as
         :class:`~repro.errors.GenerationTimeoutError` after its
-        siblings complete), never silently stalls the batch.  ``None``
-        (the default) preserves the historical wait-forever behavior.
+        siblings complete), never silently stalls the batch.  A model
+        exposing only a native batch entry point is one call, so the
+        bound covers its whole batch.  ``None`` (the default) waits
+        forever.
     """
 
     name: str = "abstract"
     capacity: Optional[int] = 1
-    timeout: Optional[float] = None
 
-    def __init__(self) -> None:
+    def __init__(self, timeout: Optional[float] = None) -> None:
+        if timeout is not None and timeout <= 0:
+            raise ConfigError(
+                f"timeout must be > 0 seconds (or None for no deadline), got {timeout}"
+            )
+        self.timeout = timeout
         self.stats = BackendStats()
         self._stats_lock = threading.Lock()
-
-    @contextmanager
-    def _track(self, num_prompts: int) -> Iterator[None]:
-        """Account one batch submission for the lifetime of its run."""
-        with self._stats_lock:
-            self.stats.batches += 1
-            self.stats.prompts += num_prompts
-            self.stats.active += 1
-            self.stats.max_active = max(self.stats.max_active, self.stats.active)
-        try:
-            yield
-        finally:
-            with self._stats_lock:
-                self.stats.active -= 1
 
     def run(
         self, model: LanguageModel, prompts: Sequence[str]
     ) -> List[GenerationResult]:
         """Execute ``prompts`` against ``model``; aligned results."""
-        raise NotImplementedError
+        with self._stats_lock:
+            self.stats.batches += 1
+            self.stats.prompts += len(prompts)
+            self.stats.active += 1
+            self.stats.max_active = max(self.stats.max_active, self.stats.active)
+        try:
+            if len(prompts) == 1 and _has_native_batch(model):
+                return sequential_generate(model, prompts, timeout=self.timeout)
+            return self._dispatch(model, prompts)
+        finally:
+            with self._stats_lock:
+                self.stats.active -= 1
 
-    async def arun(
+    def _dispatch(
         self, model: LanguageModel, prompts: Sequence[str]
     ) -> List[GenerationResult]:
-        """Async entry point; defaults to the blocking :meth:`run`."""
-        return self.run(model, prompts)
+        raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.name!r})"
 
 
-class SerialBackend(ExecutionBackend):
-    """One dispatch, no added concurrency — the library's default.
-
-    A native (sync or async) batch entry point counts as the one
-    dispatch; otherwise prompts run strictly one ``generate`` at a
-    time.  Unlike bare :func:`~repro.llm.base.batched_generate` —
-    whose ladder happily fans per-prompt ``agenerate`` calls out on an
-    event loop — this backend *pins* capacity to 1, which is what makes
-    it the honest baseline the E16 benchmark compares against.
-    """
-
-    name = "serial"
-    capacity = 1
-
-    def __init__(self, timeout: Optional[float] = None) -> None:
-        super().__init__()
-        self.timeout = _check_timeout(timeout)
-
-    def run(
-        self, model: LanguageModel, prompts: Sequence[str]
-    ) -> List[GenerationResult]:
-        with self._track(len(prompts)):
-            if _has_native_batch(model):
-                return batched_generate(model, prompts, timeout=self.timeout)
-            return sequential_generate(model, prompts, timeout=self.timeout)
-
-
 class ThreadedBackend(ExecutionBackend):
     """A thread pool of concurrent ``generate`` calls.
 
-    A native batch entry point still takes precedence (re-slicing the
-    same compute across threads cannot beat it, and for padded
-    transformer batches would regress); the pool engages exactly when
-    the model exposes only per-prompt calls, and is clamped to the
-    batch size so small batches stop spawning idle threads.
+    A native batch entry point still takes precedence for batches of
+    more than one prompt (re-slicing the same compute across threads
+    cannot beat it, and for padded transformer batches would regress);
+    the pool engages exactly when the model exposes only per-prompt
+    calls, and is clamped to the batch size so small batches stop
+    spawning idle threads.
     """
 
     def __init__(
@@ -205,23 +174,34 @@ class ThreadedBackend(ExecutionBackend):
     ) -> None:
         if max_workers < 1:
             raise ConfigError(f"max_workers must be >= 1, got {max_workers}")
-        super().__init__()
+        super().__init__(timeout)
         self.max_workers = max_workers
         self.name = f"threaded:{max_workers}"
         self.capacity = max_workers
-        self.timeout = _check_timeout(timeout)
 
-    def run(
+    def _dispatch(
         self, model: LanguageModel, prompts: Sequence[str]
     ) -> List[GenerationResult]:
-        with self._track(len(prompts)):
-            if _has_native_batch(model):
-                return batched_generate(
-                    model, prompts, max_workers=self.max_workers, timeout=self.timeout
-                )
-            return pooled_generate(
-                model, prompts, self.max_workers, timeout=self.timeout
-            )
+        if _has_native_batch(model):
+            return batched_generate(model, prompts, timeout=self.timeout)
+        return pooled_generate(model, prompts, self.max_workers, timeout=self.timeout)
+
+
+class SerialBackend(ThreadedBackend):
+    """One dispatch, no added concurrency — the library's default.
+
+    A pool of width one: a native (sync or async) batch entry point
+    counts as the one dispatch; otherwise prompts run strictly one
+    ``generate`` at a time.  Unlike bare
+    :func:`~repro.llm.base.batched_generate` — whose ladder happily
+    fans per-prompt ``agenerate`` calls out on an event loop — this
+    backend *pins* capacity to 1, which is what makes it the honest
+    baseline the E16 benchmark compares against.
+    """
+
+    def __init__(self, timeout: Optional[float] = None) -> None:
+        super().__init__(1, timeout)
+        self.name = "serial"
 
 
 class AsyncioBackend(ExecutionBackend):
@@ -235,9 +215,11 @@ class AsyncioBackend(ExecutionBackend):
     than unbounded fan-out.  A model exposing only sync ``generate``
     still gets its concurrency: the bound doubles as the thread-pool
     width, so ``asyncio:8`` never silently degrades to a sequential
-    loop.  Synchronous callers get a private event loop per batch via
-    :func:`repro.llm.base.run_coroutine`; async callers should use
-    :meth:`arun`, which awaits on *their* loop.
+    loop.  Each batch runs on a private event loop via
+    :func:`repro.llm.base.run_coroutine`; a one-prompt batch of a
+    per-prompt model (a remote client, a router) takes ``agenerate``
+    too, so its deadline cancels the call instead of abandoning a
+    thread.
     """
 
     def __init__(
@@ -250,60 +232,37 @@ class AsyncioBackend(ExecutionBackend):
                 f"max_inflight must be >= 1 (or None for the default cap), "
                 f"got {max_inflight}"
             )
-        super().__init__()
+        super().__init__(timeout)
         self.max_inflight = max_inflight
         self.name = "asyncio" if max_inflight is None else f"asyncio:{max_inflight}"
         self.capacity = max_inflight
-        self.timeout = _check_timeout(timeout)
 
-    def _workers(self) -> int:
-        return self.max_inflight or DEFAULT_THREAD_WORKERS
-
-    def run(
+    def _dispatch(
         self, model: LanguageModel, prompts: Sequence[str]
     ) -> List[GenerationResult]:
-        with self._track(len(prompts)):
-            return list(
-                run_coroutine(
-                    abatched_generate(
-                        model,
-                        prompts,
-                        max_workers=self._workers(),
-                        max_inflight=self.max_inflight,
-                        timeout=self.timeout,
-                    )
+        return list(
+            run_coroutine(
+                abatched_generate(
+                    model,
+                    prompts,
+                    max_workers=self.max_inflight or DEFAULT_THREAD_WORKERS,
+                    max_inflight=self.max_inflight,
+                    timeout=self.timeout,
                 )
             )
-
-    async def arun(
-        self, model: LanguageModel, prompts: Sequence[str]
-    ) -> List[GenerationResult]:
-        with self._track(len(prompts)):
-            return await abatched_generate(
-                model,
-                prompts,
-                max_workers=self._workers(),
-                max_inflight=self.max_inflight,
-                timeout=self.timeout,
-            )
+        )
 
 
 def make_backend(
-    spec: Optional[str],
-    batch_workers: Optional[int] = None,
-    timeout: Optional[float] = None,
+    spec: Optional[str], timeout: Optional[float] = None
 ) -> ExecutionBackend:
     """Build a backend from a spec string.
 
     Specs: ``serial``, ``threaded``, ``threaded:N``, ``asyncio``,
-    ``asyncio:N``.  ``None`` resolves to the historical default —
-    :class:`ThreadedBackend` when ``batch_workers`` is set (the PR 1
-    ``--workers`` behavior), else :class:`SerialBackend`.  ``timeout``
-    is the per-call deadline applied to whichever backend results.
+    ``asyncio:N``; ``None`` means ``serial``.  ``timeout`` is the
+    per-call deadline applied to whichever backend results.
     """
     if spec is None:
-        if batch_workers is not None and batch_workers > 1:
-            return ThreadedBackend(batch_workers, timeout=timeout)
         return SerialBackend(timeout=timeout)
     head, sep, tail = spec.strip().partition(":")
     count: Optional[int] = None
@@ -320,8 +279,7 @@ def make_backend(
         return SerialBackend(timeout=timeout)
     if head == "threaded":
         return ThreadedBackend(
-            count if count is not None else (batch_workers or DEFAULT_THREAD_WORKERS),
-            timeout=timeout,
+            count if count is not None else DEFAULT_THREAD_WORKERS, timeout=timeout
         )
     if head == "asyncio":
         return AsyncioBackend(max_inflight=count, timeout=timeout)

@@ -34,9 +34,9 @@ All four non-``generate`` entry points are *optional*:
 and picks the best execution strategy, in this canonical order:
 
 1. ``agenerate_batch`` — native async batch (remote APIs with their own
-   batching endpoint, async-aware caches).
+   batching endpoint).
 2. ``generate_batch`` — native sync batch (vectorized simulation,
-   padded transformer batches, cache partitioning).
+   padded transformer batches).
 3. ``agenerate`` — an asyncio task group of per-prompt calls, bounded
    by ``max_inflight``.
 4. A thread pool of concurrent ``generate`` calls — only useful for
@@ -47,11 +47,10 @@ and picks the best execution strategy, in this canonical order:
 (async callers) both execute whatever the resolver picks; sync callers
 prefer a native sync batch over spinning an event loop when both exist
 (``prefer_sync=True``), which changes nothing observable — answers are
-identical either way.  Callers (e.g.
-:meth:`repro.core.evaluate.ContextEvaluator.evaluate_many`) should
-never probe for these methods themselves; execution-policy decisions
-beyond per-call dispatch (parallelism, capacity) belong to
-:mod:`repro.exec`.
+identical either way.  Callers never probe for these methods
+themselves: the :mod:`repro.exec` backends call these helpers, and own
+every execution-policy decision beyond per-call dispatch (width,
+in-flight bound, deadline).
 """
 
 from __future__ import annotations

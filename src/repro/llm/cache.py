@@ -5,13 +5,15 @@ insight analyses re-evaluate many of the same combinations; caching on
 the exact prompt string makes repeated evaluations free while keeping
 the wrapped model a pure prompt -> answer function.
 
-The wrapper is batch-aware: :meth:`CachingLLM.generate_batch` partitions
-a batch into hits and distinct misses, forwards *only the misses* to the
-wrapped model as one batch (via :func:`repro.llm.base.batched_generate`,
-so an inner model's native batching is preserved), and reassembles the
-results in prompt order.  :class:`CacheStats` counts both the per-prompt
-hit/miss totals and the batch-level traffic, so benchmarks can report
-how much batching actually reached the model.
+:class:`CachingLLM` is a lookup -> single-flight -> store stage, never
+an execution policy: it partitions a request into hits and distinct
+misses, sends *only the misses* through its
+:class:`~repro.exec.ExecutionBackend` (which alone decides width,
+in-flight bound and deadline), and reassembles the results in prompt
+order.  ``generate`` and ``generate_batch`` share that one core.
+:class:`CacheStats` counts the per-prompt hit/miss totals and the
+batch-level traffic, so benchmarks can report how much batching
+actually reached the model.
 
 Two tiers
 ---------
@@ -28,40 +30,29 @@ pointed at the same directory shares the cache — repeated reports and
 benchmark reruns answer warm with zero real calls, while
 differently-configured models never serve each other's entries.
 
-The wrapper is also async-aware: :meth:`CachingLLM.agenerate` /
-:meth:`CachingLLM.agenerate_batch` run the identical hit/miss logic but
-await the wrapped model through
-:func:`repro.llm.base.abatched_generate`, so an async execution backend
-never blocks its event loop on the inner model.
-
 Single-flight
 -------------
-The tiers only deduplicate *completed* work.  With ``single_flight``
-(the default) concurrent misses on the same key are also deduplicated:
-the first requester leads the real call, every simultaneous requester
-follows its flight (see :mod:`repro.llm.coalesce`), and the winner
-writes through to memory + disk exactly once.  Followers are counted
-as ``hits`` (they paid no real call) and tallied in
-``flights.stats.coalesced``.  Disable it (``single_flight=False``) to
-restore the historical every-miss-dispatches behavior.
+The tiers only deduplicate *completed* work.  Concurrent misses on the
+same key are deduplicated too: the first requester leads the real call,
+every simultaneous requester follows its flight (see
+:mod:`repro.llm.coalesce`), and the winner writes through to memory +
+disk exactly once.  Followers are counted as ``hits`` (they paid no
+real call) and tallied in ``flights.stats.coalesced``.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigError
-from .base import (
-    GenerationResult,
-    LanguageModel,
-    abatched_generate,
-    batched_generate,
-    sequential_generate,
-)
+from .base import GenerationResult, LanguageModel
 from .coalesce import Latch, SingleFlight
 from .store import PromptStore, store_key
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; exec imports llm
+    from ..exec import ExecutionBackend
 
 
 @dataclass
@@ -107,64 +98,36 @@ class CachingLLM:
     ----------
     model:
         The wrapped model.
-    max_entries:
-        In-memory entry cap (FIFO eviction); ``None`` = unbounded.
-    batch_workers:
-        Forwarded to the dispatch of miss batches, so a non-batchable
-        I/O-bound backend still gets its thread pool behind the cache.
-    max_inflight:
-        Concurrency bound forwarded to miss dispatch whenever it lands
-        on an async rung (from either the sync or the async entry
-        points), so an execution backend's capacity survives the cache
-        boundary — a serial backend stays serial and an asyncio bound
-        stays bounded even when the *inner* model is async-capable;
-        ``None`` = unbounded.
-    timeout:
-        Per-call deadline (seconds) forwarded to miss dispatch, so an
-        execution backend's timeout also survives the cache boundary
-        (hits are free and never deadlined); ``None`` = no deadline.
+    backend:
+        The :class:`~repro.exec.ExecutionBackend` that runs the misses.
+        It is read as ``self.backend`` on every dispatch, so wrapping
+        the backend object's ``run`` after construction (tracing,
+        spying) sees every miss batch.
     store:
         Optional persistent second tier (see the module docstring).
-    single_flight:
-        Coalesce concurrent misses on the same key onto one real call
-        (default on; see the module docstring).  When enabled,
-        ``flights`` holds the :class:`~repro.llm.coalesce.SingleFlight`
-        registry and its stats.
+    max_entries:
+        In-memory entry cap (FIFO eviction); ``None`` = unbounded.
+
+    ``flights`` holds the :class:`~repro.llm.coalesce.SingleFlight`
+    registry and its stats.
     """
 
     def __init__(
         self,
         model: LanguageModel,
-        max_entries: Optional[int] = None,
-        batch_workers: Optional[int] = None,
-        max_inflight: Optional[int] = None,
-        timeout: Optional[float] = None,
+        backend: "ExecutionBackend",
         store: Optional[PromptStore] = None,
-        single_flight: bool = True,
+        max_entries: Optional[int] = None,
     ) -> None:
         if max_entries is not None and max_entries < 1:
             raise ConfigError(
                 f"max_entries must be >= 1 (or None for unbounded), got {max_entries}"
             )
-        if batch_workers is not None and batch_workers < 1:
-            raise ConfigError(
-                f"batch_workers must be >= 1 (or None), got {batch_workers}"
-            )
-        if max_inflight is not None and max_inflight < 1:
-            raise ConfigError(
-                f"max_inflight must be >= 1 (or None), got {max_inflight}"
-            )
-        if timeout is not None and timeout <= 0:
-            raise ConfigError(
-                f"timeout must be > 0 seconds (or None), got {timeout}"
-            )
         self._model = model
-        self._max_entries = max_entries
-        self.batch_workers = batch_workers
-        self.max_inflight = max_inflight
-        self.timeout = timeout
+        self.backend = backend
         self.store = store
-        self.flights: Optional[SingleFlight] = SingleFlight() if single_flight else None
+        self._max_entries = max_entries
+        self.flights = SingleFlight()
         self._cache: Dict[str, GenerationResult] = {}
         self.stats = CacheStats()
         # Counter updates and the eviction-then-insert pair happen
@@ -185,100 +148,39 @@ class CachingLLM:
         return self._model
 
     def generate(self, prompt: str) -> GenerationResult:
-        """Serve from memory, disk, or a flight in progress; else delegate."""
-        params = self._store_params()
-        cached = self._lookup(prompt, params)
-        if cached is not None:
-            with self._stats_lock:
-                self.stats.hits += 1
-            return cached
-        if self.flights is None:
-            with self._stats_lock:
-                self.stats.misses += 1
-            result = self._dispatch_one(prompt)
-            self._store(prompt, result, params=params)
-            return result
-        key = store_key(self._model.name, prompt, params)
-        leader, latch = self.flights.join(key)
-        if not leader:
-            result = latch.wait()
-            with self._stats_lock:
-                self.stats.hits += 1
-            return result
-        try:
-            # Between our miss above and winning the flight, a previous
-            # leader may have resolved and written through; re-checking
-            # the memory tier here is what makes the dedup exact (one
-            # real call per key) rather than best-effort.  Memory
-            # suffices: every flight writes memory before it resolves,
-            # so the disk cannot hold anything newer than our first
-            # lookup saw.
-            cached = self._cache.get(prompt)
-            if cached is not None:
-                with self._stats_lock:
-                    self.stats.hits += 1
-                self.flights.resolve(key, latch, cached)
-                return cached
-            with self._stats_lock:
-                self.stats.misses += 1
-            result = self._dispatch_one(prompt)
-            self._store(prompt, result, params=params)
-        except BaseException as error:
-            self.flights.reject(key, latch, error)
-            raise
-        self.flights.resolve(key, latch, result)
-        return result
+        """Serve from memory, disk, or a flight in progress; else delegate.
 
-    async def agenerate(self, prompt: str) -> GenerationResult:
-        """Async :meth:`generate` (identical tiers and accounting)."""
-        params = self._store_params()
-        cached = self._lookup(prompt, params)
-        if cached is not None:
-            with self._stats_lock:
-                self.stats.hits += 1
-            return cached
-        if self.flights is None:
-            with self._stats_lock:
-                self.stats.misses += 1
-            result = await self._adispatch_one(prompt)
-            self._store(prompt, result, params=params)
-            return result
-        key = store_key(self._model.name, prompt, params)
-        leader, latch = self.flights.join(key)
-        if not leader:
-            result = await latch.wait_async()
-            with self._stats_lock:
-                self.stats.hits += 1
-            return result
-        try:
-            cached = self._cache.get(prompt)
-            if cached is not None:
-                with self._stats_lock:
-                    self.stats.hits += 1
-                self.flights.resolve(key, latch, cached)
-                return cached
-            with self._stats_lock:
-                self.stats.misses += 1
-            result = await self._adispatch_one(prompt)
-            self._store(prompt, result, params=params)
-        except BaseException as error:
-            self.flights.reject(key, latch, error)
-            raise
-        self.flights.resolve(key, latch, result)
-        return result
+        A miss reaches the backend as a one-prompt batch, which the
+        backend runs as one ``generate`` call on the inner model (so
+        per-call extras such as attention survive).
+        """
+        results, _ = self._resolve([prompt])
+        return results[0]
 
     def generate_batch(self, prompts: Sequence[str]) -> List[GenerationResult]:
         """Serve hits from the tiers, delegate distinct misses as one batch.
 
         Duplicate prompts within the batch reach the model once; the
         repeats are served from the freshly-filled cache and counted as
-        hits, exactly as a second sequential call would be.  Under
-        single-flight, misses another request is already computing are
-        not dispatched either — this batch awaits those flights after
-        dispatching its own leads (leads always dispatch before any
-        follower wait, so two batches following each other's flights
-        can never deadlock).
+        hits, exactly as a second sequential call would be.  Misses
+        another request is already computing are not dispatched either
+        — this batch awaits those flights after dispatching its own
+        leads (leads always dispatch before any follower wait, so two
+        batches following each other's flights can never deadlock).
         """
+        with self._stats_lock:
+            self.stats.batches += 1
+            self.stats.batched_prompts += len(prompts)
+        results, dispatched = self._resolve(prompts)
+        with self._stats_lock:
+            self.stats.batched_misses += dispatched
+        return results
+
+    def _resolve(
+        self, prompts: Sequence[str]
+    ) -> Tuple[List[GenerationResult], int]:
+        """Lookup -> single-flight -> backend -> store; aligned results
+        and the number of prompts sent to the backend."""
         params = self._store_params()
         resolved, misses, miss_order = self._partition(prompts, params)
         leads, followers, miss_order = self._coalesce_misses(
@@ -286,73 +188,24 @@ class CachingLLM:
         )
         if miss_order:
             try:
-                generated = batched_generate(
-                    self._model,
-                    miss_order,
-                    max_workers=self.batch_workers,
-                    max_inflight=self.max_inflight,
-                    timeout=self.timeout,
-                )
+                generated = self.backend.run(self._model, miss_order)
+                for prompt, result in zip(miss_order, generated):
+                    self._store(prompt, result, params=params)
+                    resolved[prompt] = result
             except BaseException as error:
-                self._reject_leads(leads, error)
+                for _prompt, key, latch in leads:
+                    self.flights.reject(key, latch, error)
                 raise
-            self._absorb(resolved, miss_order, generated, params)
-            self._resolve_leads(leads, resolved)
+            for prompt, key, latch in leads:
+                self.flights.resolve(key, latch, resolved[prompt])
         for prompt, latch in followers:
             resolved[prompt] = latch.wait()
-        return self._assemble(prompts, resolved, misses)
-
-    async def agenerate_batch(self, prompts: Sequence[str]) -> List[GenerationResult]:
-        """Async :meth:`generate_batch`: same partition, awaited misses."""
-        params = self._store_params()
-        resolved, misses, miss_order = self._partition(prompts, params)
-        leads, followers, miss_order = self._coalesce_misses(
-            resolved, misses, miss_order, params
-        )
-        if miss_order:
-            try:
-                generated = await abatched_generate(
-                    self._model,
-                    miss_order,
-                    max_workers=self.batch_workers,
-                    max_inflight=self.max_inflight,
-                    timeout=self.timeout,
-                )
-            except BaseException as error:
-                self._reject_leads(leads, error)
-                raise
-            self._absorb(resolved, miss_order, generated, params)
-            self._resolve_leads(leads, resolved)
-        for prompt, latch in followers:
-            resolved[prompt] = await latch.wait_async()
-        return self._assemble(prompts, resolved, misses)
-
-    # -- single-prompt miss dispatch ---------------------------------------
-
-    def _dispatch_one(self, prompt: str) -> GenerationResult:
-        if self.timeout is not None:
-            return sequential_generate(self._model, [prompt], timeout=self.timeout)[0]
-        return self._model.generate(prompt)
-
-    async def _adispatch_one(self, prompt: str) -> GenerationResult:
-        results = await abatched_generate(
-            self._model,
-            [prompt],
-            max_workers=self.batch_workers,
-            max_inflight=self.max_inflight,
-            timeout=self.timeout,
-        )
-        return results[0]
-
-    # -- the batch pipeline, shared by both entry points -------------------
+        return self._assemble(prompts, resolved, misses), len(miss_order)
 
     def _partition(
         self, prompts: Sequence[str], params: Optional[Dict[str, object]]
     ) -> Tuple[Dict[str, GenerationResult], set, List[str]]:
         """Split a batch into resolved hits and ordered distinct misses."""
-        with self._stats_lock:
-            self.stats.batches += 1
-            self.stats.batched_prompts += len(prompts)
         # Resolve eagerly: under a bounded cache the miss inserts below
         # may evict entries this very batch still needs.
         resolved: Dict[str, GenerationResult] = {}
@@ -382,14 +235,15 @@ class CachingLLM:
 
         Returns ``(leads, followers, still_missing)``: ``leads`` are the
         flights this batch owns and must settle after dispatching
-        ``still_missing`` as one native batch; ``followers`` are prompts
+        ``still_missing`` as one batch; ``followers`` are prompts
         another request is already computing (removed from ``misses`` so
         they are charged as hits — no real call was paid here).  A miss
         whose flight resolved between partition and join is adopted from
-        the freshly-filled cache and charged as a hit too.
+        the freshly-filled cache and charged as a hit too: re-checking
+        memory after winning a flight is what makes the dedup exact (one
+        real call per key).  Memory suffices, since every flight writes
+        memory before it resolves.
         """
-        if self.flights is None or not miss_order:
-            return [], [], miss_order
         leads: List[Tuple[str, str, Latch]] = []
         followers: List[Tuple[str, Latch]] = []
         still_missing: List[str] = []
@@ -409,33 +263,6 @@ class CachingLLM:
             leads.append((prompt, key, latch))
             still_missing.append(prompt)
         return leads, followers, still_missing
-
-    def _resolve_leads(
-        self,
-        leads: List[Tuple[str, str, Latch]],
-        resolved: Dict[str, GenerationResult],
-    ) -> None:
-        for prompt, key, latch in leads:
-            self.flights.resolve(key, latch, resolved[prompt])
-
-    def _reject_leads(
-        self, leads: List[Tuple[str, str, Latch]], error: BaseException
-    ) -> None:
-        for _prompt, key, latch in leads:
-            self.flights.reject(key, latch, error)
-
-    def _absorb(
-        self,
-        resolved: Dict[str, GenerationResult],
-        miss_order: List[str],
-        generated: Sequence[GenerationResult],
-        params: Optional[Dict[str, object]],
-    ) -> None:
-        with self._stats_lock:
-            self.stats.batched_misses += len(miss_order)
-        for prompt, result in zip(miss_order, generated):
-            self._store(prompt, result, params=params)
-            resolved[prompt] = result
 
     def _assemble(
         self,
@@ -493,11 +320,10 @@ class CachingLLM:
         self,
         prompt: str,
         result: GenerationResult,
-        persist: bool = True,
         params: Optional[Dict[str, object]] = None,
     ) -> None:
         self._install(prompt, result, promotion=False)
-        if persist and self.store is not None:
+        if self.store is not None:
             self.store.put(self._model.name, prompt, result, params)
 
     def _install(

@@ -29,13 +29,15 @@ usage/cost attribution
     surface per-provider cost so ``/metrics`` and ``report --stats``
     can attribute spend to the backend that actually served.
 
-Hedging (``hedge=True``, async path only): once the primary has been
-in flight longer than ``hedge_delay`` (default: the primary's observed
-p95 latency), a backup request fires on the next healthy provider;
+Hedging (``hedge=True``): once the primary has been in flight longer
+than ``hedge_delay`` (default: the primary's observed p95 latency), a
+backup request fires on the next healthy provider;
 first response wins and the loser is cancelled — the cancellation
 propagates through :meth:`~repro.llm.transport.TokenBucket.aacquire`'s
 cancellation-safe refund path, so an abandoned hedge never bleeds a
-member's rate limit.
+member's rate limit.  The race is async; a hedging router's sync
+``generate`` runs it on a private event loop, so it hedges whichever
+entry point (and so whichever execution backend) drives it.
 
 Deliberately *no* ``generate_batch`` / ``agenerate_batch``: like the
 remote adapter, the router answers one prompt per call so the dispatch
@@ -67,7 +69,7 @@ from ..errors import (
     NoProviderAvailableError,
     TransportError,
 )
-from .base import GenerationResult, LanguageModel
+from .base import GenerationResult, LanguageModel, run_coroutine
 
 #: Consecutive-failure count that trips a breaker when the caller
 #: picks none.
@@ -323,7 +325,7 @@ class RouterLLM:
     breaker_threshold / breaker_cooldown:
         Per-provider :class:`CircuitBreaker` parameters.
     hedge:
-        Enable hedged requests on the async path: a backup request
+        Enable hedged requests on both entry points: a backup request
         fires on the next healthy provider once the primary has been
         in flight longer than the hedge delay; first response wins,
         the loser is cancelled (rate-limit reservation refunded).
@@ -418,10 +420,13 @@ class RouterLLM:
         member that raises a :data:`FAILOVER_ERRORS` fault is recorded
         against its breaker and the walk continues.  An exhausted walk
         raises :class:`~repro.errors.NoProviderAvailableError` naming
-        every member's reason.
+        every member's reason.  With ``hedge=True`` the walk is the
+        hedged race of :meth:`agenerate`, run on a private event loop.
         """
         with self._lock:
             self.stats.requests += 1
+        if self.hedge:
+            return run_coroutine(self._agenerate_hedged(prompt))  # type: ignore[return-value]
         failures: Dict[str, str] = {}
         for member, health in self._pool():
             if not health.breaker.try_claim():

@@ -20,7 +20,6 @@ from .metrics import (
     recall_at_k,
     reciprocal_rank,
 )
-from .persistence import load_index, save_index
 from .searcher import RetrievalResult, RetrievedSource, Searcher
 from .sqlindex import (
     DB_NAME,
@@ -45,8 +44,6 @@ __all__ = [
     "RetrievalResult",
     "RetrievedSource",
     "Searcher",
-    "load_index",
-    "save_index",
     "DenseIndex",
     "DenseScorer",
     "HashedEmbedder",

@@ -20,11 +20,13 @@ the project's stand-in for a Lucene index directory:
   :meth:`remove` withdraws every contribution.  :meth:`sync` folds a
   whole corpus in with per-document change detection.
 * **Concurrent readers, single writer** — WAL mode lets any number of
-  reader connections (one per thread, or other processes such as a
-  second ``rage serve`` worker) query a consistent snapshot while one
-  writer commits; :meth:`snapshot` pins one read transaction around a
-  whole search so every posting list and document length it touches
-  comes from the same database version.
+  reader connections (one per concurrent call, or other processes such
+  as a second ``rage serve`` worker) query a consistent snapshot while
+  one writer commits; :meth:`snapshot` pins one read transaction around
+  a whole search so every posting list and document length it touches
+  comes from the same database version.  Connections are pooled: a
+  thread borrows one for the length of a call and hands it back, so a
+  server's short-lived request threads never strand open connections.
 * **Hybrid fusion done right** — :func:`make_retrieval_scorer` combines
   BM25 with dense cosine scores via min-max normalization
   (:class:`~repro.retrieval.dense.HybridScorer`) or reciprocal-rank
@@ -72,6 +74,14 @@ RETRIEVAL_MODES = ("bm25", "dense", "hybrid")
 
 #: Hybrid fusion strategies (both scale-safe; never raw addition).
 FUSION_STRATEGIES = ("minmax", "rrf")
+
+#: Idle connections an index keeps open for reuse; a connection handed
+#: back while this many are idle is closed instead.  A server searches
+#: on one thread per request, so this only has to cover the requests in
+#: flight: the two-tenant ``serve_mixed`` benchmark peaks at 2
+#: (``app.server.concurrent_max``), and twice that absorbs a burst
+#: without reopening.  A busier server still works, it just reopens.
+MAX_IDLE_CONNECTIONS = 4
 
 _SCHEMA = """
 CREATE TABLE meta (
@@ -172,7 +182,13 @@ class SqliteIndex:
         self.path = Path(path).expanduser()
         self._lock = threading.RLock()
         self._local = threading.local()
-        self._connections: List[sqlite3.Connection] = []
+        # Every open connection -> the ``PRAGMA data_version`` it last
+        # saw; the idle ones wait in ``_idle`` for the next borrower.
+        # Both are guarded by ``_pool_lock`` (taken after ``_lock``
+        # when a writer holds that).
+        self._pool_lock = threading.Lock()
+        self._connections: Dict[sqlite3.Connection, Optional[int]] = {}
+        self._idle: List[sqlite3.Connection] = []
         self._closed = False
         # Shared lazy caches; dropped on every write and whenever a
         # reader connection observes another process's commit.
@@ -191,42 +207,74 @@ class SqliteIndex:
         self.tokenizer = tokenizer
         self.embedder = embedder
         self.store_positions = store_positions
-        conn = self._conn()
-        with self._lock:
+        with self._connection() as conn, self._lock:
             self._initialize(conn)
 
     # -- connections and lifecycle ----------------------------------------
 
-    def _conn(self) -> sqlite3.Connection:
-        """This thread's connection (each thread reads independently)."""
-        if self._closed:
-            raise RetrievalError(f"index {self.path} is closed")
+    @contextmanager
+    def _connection(self) -> Iterator[sqlite3.Connection]:
+        """This thread's connection for the length of the block.
+
+        Re-entrant: nested blocks on one thread (a search's reads inside
+        its :meth:`snapshot`) share the outermost block's connection,
+        which is what pins a snapshot to one read transaction.  The
+        outermost block borrows an idle connection (or opens one) and
+        hands it back on exit, so threads that end never strand one.
+        """
         conn = getattr(self._local, "conn", None)
-        if conn is None:
-            try:
-                conn = sqlite3.connect(
-                    str(self.path),
-                    timeout=30.0,
-                    isolation_level=None,  # manual transactions
-                    check_same_thread=False,  # close() reaps every thread's
-                )
-                conn.execute("PRAGMA journal_mode=WAL")
-                conn.execute("PRAGMA synchronous=NORMAL")
-            except sqlite3.Error as error:
-                raise RetrievalError(
-                    f"cannot open index database {self.path}: {error}"
-                ) from error
-            self._local.conn = conn
-            self._local.data_version = None
-            with self._lock:
-                self._connections.append(conn)
+        if conn is not None:
+            yield conn
+            return
+        conn = self._checkout()
+        self._local.conn = conn
+        try:
+            yield conn
+        finally:
+            self._local.conn = None
+            self._checkin(conn)
+
+    def _checkout(self) -> sqlite3.Connection:
+        with self._pool_lock:
+            if self._closed:
+                raise RetrievalError(f"index {self.path} is closed")
+            if self._idle:
+                return self._idle.pop()
+        try:
+            conn = sqlite3.connect(
+                str(self.path),
+                timeout=30.0,
+                isolation_level=None,  # manual transactions
+                check_same_thread=False,  # borrowed by one thread at a time
+            )
+            conn.execute("PRAGMA journal_mode=WAL")
+            conn.execute("PRAGMA synchronous=NORMAL")
+        except sqlite3.Error as error:
+            raise RetrievalError(
+                f"cannot open index database {self.path}: {error}"
+            ) from error
+        with self._pool_lock:
+            self._connections[conn] = None
         return conn
+
+    def _checkin(self, conn: sqlite3.Connection) -> None:
+        with self._pool_lock:
+            if not self._closed and len(self._idle) < MAX_IDLE_CONNECTIONS:
+                self._idle.append(conn)
+                return
+            self._connections.pop(conn, None)
+        try:
+            conn.close()
+        except sqlite3.Error:
+            pass
 
     def close(self) -> None:
         """Close every connection this index opened (all threads)."""
-        with self._lock:
+        with self._pool_lock:
             self._closed = True
-            connections, self._connections = self._connections, []
+            connections = list(self._connections)
+            self._connections.clear()
+            self._idle.clear()
         for conn in connections:
             try:
                 conn.close()
@@ -330,27 +378,19 @@ class SqliteIndex:
         long-lived reader needs to notice an external indexer's work.
         """
         version = conn.execute("PRAGMA data_version").fetchone()[0]
-        if getattr(self._local, "data_version", None) != version:
-            self._local.data_version = version
+        with self._pool_lock:
+            changed = self._connections.get(conn) != version
+            if conn in self._connections:
+                self._connections[conn] = version
+        if changed:
             self._drop_caches()
 
-    def _lengths(self, conn: Optional[sqlite3.Connection] = None) -> Dict[str, int]:
-        conn = conn or self._conn()
+    def _lengths(self) -> Dict[str, int]:
         with self._lock:
             cached = self._doc_lengths
         if cached is not None:
             return cached
-        try:
-            loaded = {
-                doc_id: length
-                for doc_id, length in conn.execute(
-                    "SELECT doc_id, doc_length FROM documents"
-                )
-            }
-        except sqlite3.DatabaseError as error:
-            raise RetrievalError(
-                f"corrupt index database {self.path}: {error}"
-            ) from error
+        loaded = dict(self._rows("SELECT doc_id, doc_length FROM documents"))
         with self._lock:
             self._doc_lengths = loaded
         return loaded
@@ -363,18 +403,18 @@ class SqliteIndex:
         a snapshot can therefore run concurrently with an indexer commit
         and still return internally consistent rankings.
         """
-        conn = self._conn()
-        self._check_external_commits(conn)
-        try:
-            conn.execute("BEGIN")
-        except sqlite3.DatabaseError as error:
-            raise RetrievalError(
-                f"corrupt index database {self.path}: {error}"
-            ) from error
-        try:
-            yield conn
-        finally:
-            conn.execute("COMMIT")
+        with self._connection() as conn:
+            self._check_external_commits(conn)
+            try:
+                conn.execute("BEGIN")
+            except sqlite3.DatabaseError as error:
+                raise RetrievalError(
+                    f"corrupt index database {self.path}: {error}"
+                ) from error
+            try:
+                yield conn
+            finally:
+                conn.execute("COMMIT")
 
     # -- writes ------------------------------------------------------------
 
@@ -386,8 +426,7 @@ class SqliteIndex:
         (byte-identical content: a no-op — nothing is re-tokenized and
         nothing is written).
         """
-        with self._lock:
-            conn = self._conn()
+        with self._lock, self._connection() as conn:
             digest = content_hash(doc)
             try:
                 row = conn.execute(
@@ -422,8 +461,7 @@ class SqliteIndex:
         opens, so a fully warm corpus sync takes zero write locks.
         """
         outcome = {"added": 0, "updated": 0, "unchanged": 0}
-        with self._lock:
-            conn = self._conn()
+        with self._lock, self._connection() as conn:
             try:
                 pending: List[Tuple[Document, str, bool]] = []
                 for doc in documents:
@@ -470,8 +508,7 @@ class SqliteIndex:
 
     def remove(self, doc_id: str) -> None:
         """Withdraw a document and every posting it contributed."""
-        with self._lock:
-            conn = self._conn()
+        with self._lock, self._connection() as conn:
             try:
                 row = conn.execute(
                     "SELECT doc_id FROM documents WHERE doc_id = ?", (doc_id,)
@@ -563,20 +600,24 @@ class SqliteIndex:
 
     # -- the scorer-facing read protocol -----------------------------------
 
+    def _rows(self, sql: str, params: Sequence[object] = ()) -> List[tuple]:
+        """One read on this thread's connection; corruption is typed."""
+        with self._connection() as conn:
+            try:
+                return conn.execute(sql, params).fetchall()
+            except sqlite3.DatabaseError as error:
+                raise RetrievalError(
+                    f"corrupt index database {self.path}: {error}"
+                ) from error
+
     def postings(self, term: str) -> List[Posting]:
         """Postings for an analyzed term, ordered by doc_id (empty when
         absent)."""
-        conn = self._conn()
-        try:
-            rows = conn.execute(
-                "SELECT doc_id, tf, positions FROM postings "
-                "WHERE term = ? ORDER BY doc_id",
-                (term,),
-            ).fetchall()
-        except sqlite3.DatabaseError as error:
-            raise RetrievalError(
-                f"corrupt index database {self.path}: {error}"
-            ) from error
+        rows = self._rows(
+            "SELECT doc_id, tf, positions FROM postings "
+            "WHERE term = ? ORDER BY doc_id",
+            (term,),
+        )
         return [
             Posting(
                 doc_id=doc_id,
@@ -588,19 +629,14 @@ class SqliteIndex:
 
     def document_frequency(self, term: str) -> int:
         """Number of documents containing the analyzed term."""
-        conn = self._conn()
-        return conn.execute(
-            "SELECT COUNT(*) FROM postings WHERE term = ?", (term,)
-        ).fetchone()[0]
+        return self._rows("SELECT COUNT(*) FROM postings WHERE term = ?", (term,))[0][0]
 
     def term_frequency(self, term: str, doc_id: str) -> int:
         """Frequency of ``term`` inside ``doc_id`` (0 if absent)."""
-        conn = self._conn()
-        row = conn.execute(
-            "SELECT tf FROM postings WHERE term = ? AND doc_id = ?",
-            (term, doc_id),
-        ).fetchone()
-        return row[0] if row is not None else 0
+        rows = self._rows(
+            "SELECT tf FROM postings WHERE term = ? AND doc_id = ?", (term, doc_id)
+        )
+        return rows[0][0] if rows else 0
 
     def doc_length(self, doc_id: str) -> int:
         """Analyzed token count of a document."""
@@ -611,62 +647,46 @@ class SqliteIndex:
 
     def document(self, doc_id: str) -> Document:
         """Return the stored document."""
-        conn = self._conn()
-        row = conn.execute(
+        rows = self._rows(
             "SELECT doc_id, title, text, metadata FROM documents WHERE doc_id = ?",
             (doc_id,),
-        ).fetchone()
-        if row is None:
+        )
+        if not rows:
             raise UnknownDocumentError(f"no document with id {doc_id!r}")
-        return _row_to_document(row)
+        return _row_to_document(rows[0])
 
     def documents(self) -> List[Document]:
         """All indexed documents in first-indexed order."""
-        conn = self._conn()
         return [
             _row_to_document(row)
-            for row in conn.execute(
+            for row in self._rows(
                 "SELECT doc_id, title, text, metadata FROM documents ORDER BY seq"
             )
         ]
 
     def doc_ids(self) -> List[str]:
         """All indexed document ids in first-indexed order."""
-        conn = self._conn()
-        return [
-            row[0]
-            for row in conn.execute("SELECT doc_id FROM documents ORDER BY seq")
-        ]
+        return [row[0] for row in self._rows("SELECT doc_id FROM documents ORDER BY seq")]
 
     def vocabulary(self) -> List[str]:
         """All analyzed terms, sorted."""
-        conn = self._conn()
         return [
             row[0]
-            for row in conn.execute(
-                "SELECT DISTINCT term FROM postings ORDER BY term"
-            )
+            for row in self._rows("SELECT DISTINCT term FROM postings ORDER BY term")
         ]
 
     @property
     def stats(self) -> IndexStats:
         """Collection statistics (cached: BM25 reads these per query,
         and the vocabulary count walks every distinct term)."""
-        conn = self._conn()
-        self._check_external_commits(conn)
-        with self._lock:
-            cached = self._stats
-        if cached is not None:
-            return cached
-        lengths = self._lengths(conn)
-        try:
-            vocabulary = conn.execute(
-                "SELECT COUNT(DISTINCT term) FROM postings"
-            ).fetchone()[0]
-        except sqlite3.DatabaseError as error:
-            raise RetrievalError(
-                f"corrupt index database {self.path}: {error}"
-            ) from error
+        with self._connection() as conn:
+            self._check_external_commits(conn)
+            with self._lock:
+                cached = self._stats
+            if cached is not None:
+                return cached
+            lengths = self._lengths()
+            vocabulary = self._rows("SELECT COUNT(DISTINCT term) FROM postings")[0][0]
         computed = IndexStats(
             num_documents=len(lengths),
             total_terms=sum(lengths.values()),
@@ -677,9 +697,9 @@ class SqliteIndex:
         return computed
 
     def __len__(self) -> int:
-        conn = self._conn()
-        self._check_external_commits(conn)
-        return len(self._lengths(conn))
+        with self._connection() as conn:
+            self._check_external_commits(conn)
+            return len(self._lengths())
 
     def __contains__(self, doc_id: str) -> bool:
         return doc_id in self._lengths()
@@ -712,15 +732,7 @@ class SqliteIndex:
         with self._lock:
             if self._dense_ids is not None and self._dense_matrix is not None:
                 return self._dense_ids, self._dense_matrix
-        conn = self._conn()
-        try:
-            rows = conn.execute(
-                "SELECT doc_id, vector FROM vectors ORDER BY doc_id"
-            ).fetchall()
-        except sqlite3.DatabaseError as error:
-            raise RetrievalError(
-                f"corrupt index database {self.path}: {error}"
-            ) from error
+        rows = self._rows("SELECT doc_id, vector FROM vectors ORDER BY doc_id")
         ids = [doc_id for doc_id, _ in rows]
         dimensions = self.embedder.dimensions if self.embedder else 0
         if rows:

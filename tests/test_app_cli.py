@@ -174,45 +174,6 @@ def test_report_stats_prints_single_flight_line(capsys):
     assert "flights led" in out and "waiters served" in out
 
 
-def test_no_single_flight_flag_round_trips_through_config(capsys, monkeypatch):
-    from repro.app import cli as cli_module
-
-    captured = {}
-    original = cli_module.RageSession.for_use_case
-
-    def spy(case, config=None, llm=None):
-        captured["config"] = config
-        return original(case, config=config, llm=llm)
-
-    monkeypatch.setattr(cli_module.RageSession, "for_use_case", staticmethod(spy))
-    assert main(
-        ["report", "--use-case", "big_three", "--no-single-flight", "--stats"]
-    ) == 0
-    assert captured["config"].single_flight is False
-    out = capsys.readouterr().out
-    assert "Single-flight:" not in out  # no registry, no counters
-
-    assert main(["report", "--use-case", "big_three"]) == 0
-    assert captured["config"].single_flight is True  # default ON
-
-
-def test_batch_window_flag_round_trips_and_prints_stats(capsys):
-    assert main(
-        ["report", "--use-case", "big_three", "--batch-window-ms", "5", "--stats"]
-    ) == 0
-    out = capsys.readouterr().out
-    assert "Backend: coalesce:5ms+serial" in out
-    assert "Batch window (5 ms):" in out
-    assert "windows flushed" in out
-
-
-def test_batch_window_rejects_nonpositive(capsys):
-    assert main(
-        ["ask", "--use-case", "big_three", "--batch-window-ms", "0"]
-    ) == 2
-    assert "error:" in capsys.readouterr().err
-
-
 def test_report_stats_cold_then_warm_store(tmp_path, capsys):
     cache_dir = str(tmp_path / "store")
     assert main(

@@ -432,7 +432,9 @@ def test_metrics_schema_and_counters(tmp_path):
         assert single_flight["flights"] == cache["misses"]
         assert single_flight["inflight_keys"] == 0  # quiescent server
         assert single_flight["waiters_served"] == 0  # serial requests
-        assert coalescing["window"] == {"enabled": False}
+        assert set(coalescing) == {"single_flight"}
+        # With the cache on, the backend runs the cache's misses only.
+        assert backend["prompts"] == cache["misses"]
         store = metrics["store"]
         assert store["root"].endswith("store")
         assert store["writes"] > 0 and store["entries"] > 0
@@ -809,3 +811,50 @@ def test_sqlite_server_answers_match_memory_backend(tmp_path):
     reference = _reference_session()
     query, context, answer = reference.state()
     assert body == encode_json(ask_payload("alice", query, context, answer))
+
+
+def test_served_requests_do_not_accumulate_index_connections(tmp_path):
+    """Each request runs on its own short-lived thread; the persistent
+    index must lend those threads pooled connections, not keep one per
+    thread until close()."""
+    from repro.retrieval.sqlindex import MAX_IDLE_CONNECTIONS
+
+    case = load_use_case("big_three")
+    config = RageConfig(k=case.k, index_dir=str(tmp_path / "ix"))
+    rage = Rage.from_corpus(
+        case.corpus, SimulatedLLM(knowledge=case.knowledge), config=config
+    )
+    with RageServer(rage, tenants=["alice"], default_query=case.query) as srv:
+        for _ in range(20):
+            status, _, _ = http_json.post_json(
+                srv.base_url + "/ask", {"tenant": "alice"}
+            )
+            assert status == 200
+        assert len(rage.index._connections) <= MAX_IDLE_CONNECTIONS
+
+
+def test_metrics_backend_prompts_equal_cache_misses_under_concurrency():
+    """Concurrent tenants share one cache; its misses are the only
+    prompts the backend ever runs."""
+    tenants = ["t0", "t1", "t2"]
+    statuses = []
+
+    def ask_then_explain(base_url, tenant):
+        for path in ("/ask", "/explain"):
+            status, _, _ = http_json.post_json(base_url + path, {"tenant": tenant})
+            statuses.append(status)
+
+    with RageServer.for_use_case("big_three", tenants=tenants) as server:
+        threads = [
+            threading.Thread(target=ask_then_explain, args=(server.base_url, tenant))
+            for tenant in tenants
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        status, _, body = http_json.get(server.base_url + "/metrics")
+    assert status == 200 and statuses == [200] * 6
+    metrics = http_json.body_json(body)
+    assert metrics["cache"]["misses"] > 0
+    assert metrics["backend"]["prompts"] == metrics["cache"]["misses"]

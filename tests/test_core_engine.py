@@ -13,42 +13,7 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         RageConfig(max_evaluations=0)
     with pytest.raises(ConfigError):
-        RageConfig(batch_workers=0)
-    with pytest.raises(ConfigError):
         RageConfig(search_batch_size=0)
-    with pytest.raises(ConfigError):
-        RageConfig(batch_window_ms=0)
-    with pytest.raises(ConfigError):
-        RageConfig(batch_window_ms=-5.0)
-
-
-def test_single_flight_defaults_on_and_opt_out(big_three):
-    llm = SimulatedLLM(knowledge=big_three.knowledge)
-    rage = Rage.from_corpus(big_three.corpus, llm)
-    assert rage.llm.flights is not None  # default ON
-    plain = Rage.from_corpus(
-        big_three.corpus, llm, config=RageConfig(single_flight=False)
-    )
-    assert plain.llm.flights is None
-
-
-def test_batch_window_wraps_backend_and_preserves_answers(big_three):
-    from repro.exec import CoalescingBackend
-
-    llm = SimulatedLLM(knowledge=big_three.knowledge)
-    baseline = Rage.from_corpus(big_three.corpus, llm, config=RageConfig(k=4))
-    windowed = Rage.from_corpus(
-        big_three.corpus, llm, config=RageConfig(k=4, batch_window_ms=10.0)
-    )
-    assert isinstance(windowed.backend, CoalescingBackend)
-    assert windowed.backend.name.startswith("coalesce:10ms+")
-    assert windowed.backend.capacity == baseline.backend.capacity
-    expected = baseline.combination_insights(big_three.query, sample_size=8)
-    got = windowed.combination_insights(big_three.query, sample_size=8)
-    assert {k: len(v) for k, v in got.groups.items()} == {
-        k: len(v) for k, v in expected.groups.items()
-    }
-    assert windowed.backend.window_stats.windows >= 1
 
 
 def test_from_corpus_builds_index(big_three):
@@ -210,3 +175,31 @@ def test_cache_effect_across_calls(big_three, big_three_engine):
     big_three_engine.combination_insights(big_three.query)
     # second pass re-evaluates the same prompts: all hits, no new misses
     assert big_three_engine.llm.stats.misses == stats_before
+
+
+def test_ask_keeps_attention_when_batch_path_drops_it(big_three):
+    """ask()'s full-context miss is one prompt, so it reaches the inner
+    model's ``generate`` — never a batch path that may omit attention."""
+    from dataclasses import replace
+
+    from repro.core.scoring import make_scorer
+
+    class BatchDropsAttention(SimulatedLLM):
+        def generate_batch(self, prompts):
+            return [
+                replace(result, attention=None)
+                for result in super().generate_batch(prompts)
+            ]
+
+    config = RageConfig(k=big_three.k, relevance_method=RelevanceMethod.ATTENTION)
+    rage = Rage.from_corpus(
+        big_three.corpus, BatchDropsAttention(knowledge=big_three.knowledge), config=config
+    )
+    answered = rage.ask(big_three.query)
+    assert answered.generation.attention is not None
+    direct = SimulatedLLM(knowledge=big_three.knowledge)
+    expected = make_scorer(
+        RelevanceMethod.ATTENTION, llm=direct, prompt_builder=rage.prompt_builder
+    ).scores(answered.context)
+    assert rage.relevance_scores(answered.context) == expected
+    assert rage.explain(big_three.query).answer == answered.answer

@@ -1,5 +1,7 @@
 """ContextEvaluator tests (memoization, call counting, batching)."""
 
+import pytest
+
 from repro.core import ContextEvaluator
 from repro.core.context import Context
 from repro.llm import ScriptedLLM
@@ -110,6 +112,39 @@ def test_prime_seeds_memo_from_external_generation():
     evaluation = evaluator.original()
     assert evaluator.llm_calls == calls  # memo hit, no new call
     assert evaluation.answer == generation.answer
+
+
+def test_evaluate_many_hands_a_prompt_cache_the_batch():
+    """A cache dispatches its own misses; the evaluator's backend is
+    never a second dispatch layer in front of it."""
+    from repro.exec import SerialBackend
+    from repro.llm import CachingLLM
+
+    context, llm = _scripted_world()
+    cache_backend = SerialBackend()
+    cached = CachingLLM(llm, cache_backend)
+    cached.generate_batch([])  # counted batch, nothing dispatched
+    evaluator = ContextEvaluator(cached, context)
+    assert evaluator.backend is cache_backend
+    evaluator.evaluate_many([("d0",), ("d0", "d1")])
+    fresh = ContextEvaluator(cached, context, backend=cache_backend)
+    fresh.evaluate_many([("d0",), ("d1",)])  # ("d0",) is a cache hit
+    assert cache_backend.stats.prompts == 3
+    assert llm.calls == 3
+    assert cached.stats.batches == 3
+
+
+def test_a_prompt_cache_rejects_a_second_backend():
+    """The cache owns dispatch: a different evaluator backend would be
+    silently ignored, so it is refused instead."""
+    from repro.errors import ConfigError
+    from repro.exec import SerialBackend, ThreadedBackend
+    from repro.llm import CachingLLM
+
+    context, llm = _scripted_world()
+    cached = CachingLLM(llm, SerialBackend())
+    with pytest.raises(ConfigError, match="own backend"):
+        ContextEvaluator(cached, context, backend=ThreadedBackend(8))
 
 
 def test_evaluate_many_empty_is_free():

@@ -7,6 +7,7 @@ import threading
 import pytest
 
 from repro import Rage, RageConfig, SimulatedLLM
+from repro.app.server import encode_json, report_payload
 from repro.core.evaluate import ContextEvaluator
 from repro.errors import ConfigError
 from repro.exec import (
@@ -88,7 +89,6 @@ def test_make_backend_specs():
     threaded = make_backend("threaded:5")
     assert isinstance(threaded, ThreadedBackend) and threaded.max_workers == 5
     assert make_backend("threaded").max_workers == DEFAULT_THREAD_WORKERS
-    assert make_backend("threaded", batch_workers=3).max_workers == 3
     unbounded = make_backend("asyncio")
     assert isinstance(unbounded, AsyncioBackend) and unbounded.max_inflight is None
     assert make_backend("asyncio:16").max_inflight == 16
@@ -97,9 +97,8 @@ def test_make_backend_specs():
 
 def test_make_backend_default_resolution():
     assert isinstance(make_backend(None), SerialBackend)
-    legacy = make_backend(None, batch_workers=4)
-    assert isinstance(legacy, ThreadedBackend) and legacy.max_workers == 4
-    assert isinstance(make_backend(None, batch_workers=1), SerialBackend)
+    assert make_backend(None).name == "serial"
+    assert make_backend(None, timeout=2.0).timeout == 2.0
 
 
 @pytest.mark.parametrize(
@@ -168,13 +167,19 @@ def test_asyncio_backend_overlaps_and_bounds_inflight():
     assert 1 <= bounded.max_inflight <= 2
 
 
-def test_asyncio_backend_arun_awaits_on_callers_loop():
-    model = Instrumented()
-
-    async def drive():
-        return await AsyncioBackend().arun(model, _prompts(4))
-
-    assert len(asyncio.run(drive())) == 4
+@pytest.mark.parametrize(
+    "backend_factory",
+    [SerialBackend, lambda: ThreadedBackend(3), lambda: AsyncioBackend(3)],
+    ids=["serial", "threaded", "asyncio"],
+)
+def test_single_prompt_batch_is_one_generate_call(backend_factory):
+    """A batch of one never takes a native batch path, which may drop
+    per-call extras such as a transformer's attention."""
+    model = NativeBatch()
+    results = backend_factory().run(model, _prompts(1))
+    assert len(results) == 1
+    assert model.batches == 0 and model.calls == 1
+    assert model.threads == {threading.get_ident()}
 
 
 def test_base_backend_run_is_abstract():
@@ -212,11 +217,11 @@ def test_evaluator_submits_through_backend(big_three_engine, big_three):
     assert backend_used == [3]
 
 
-def test_evaluator_default_backend_matches_batch_workers(big_three_engine, big_three):
+def test_evaluator_default_backend_is_serial(big_three_engine, big_three):
     context = big_three_engine.retrieve(big_three.query)
     plain = ContextEvaluator(NativeBatch(), context)
     assert isinstance(plain.backend, SerialBackend)
-    pooled = ContextEvaluator(NativeBatch(), context, batch_workers=4)
+    pooled = ContextEvaluator(NativeBatch(), context, backend=ThreadedBackend(4))
     assert isinstance(pooled.backend, ThreadedBackend)
     assert pooled.backend.max_workers == 4
 
@@ -230,23 +235,25 @@ def test_engine_builds_backend_from_config(big_three):
     assert isinstance(rage.backend, AsyncioBackend)
     assert rage.backend.max_inflight == 7
     assert isinstance(rage.llm, CachingLLM)
-    assert rage.llm.max_inflight == 7  # capacity survives the cache boundary
+    assert rage.llm.backend is rage.backend  # the cache's misses run there
 
 
 def test_engine_threaded_backend_reaches_cache_workers(big_three):
+    barrier = threading.Barrier(5, timeout=10)
+
+    class Rendezvous(Instrumented):
+        def generate(self, prompt):
+            barrier.wait()  # passes only with five calls in flight at once
+            return super().generate(prompt)
+
+    inner = Rendezvous()
     rage = Rage.from_corpus(
-        big_three.corpus,
-        SimulatedLLM(knowledge=big_three.knowledge),
-        config=RageConfig(k=big_three.k, backend="threaded:5"),
+        big_three.corpus, inner, config=RageConfig(k=big_three.k, backend="threaded:5")
     )
-    assert rage.llm.batch_workers == 5
-    # An explicit batch_workers wins over the backend width.
-    rage = Rage.from_corpus(
-        big_three.corpus,
-        SimulatedLLM(knowledge=big_three.knowledge),
-        config=RageConfig(k=big_three.k, backend="threaded:5", batch_workers=2),
-    )
-    assert rage.llm.batch_workers == 2
+    results = rage.llm.generate_batch(_prompts(10))
+    assert len(results) == 10
+    assert len(inner.threads) == 5
+    assert threading.get_ident() not in inner.threads
 
 
 def test_config_rejects_bad_backend_spec():
@@ -276,6 +283,7 @@ def test_explain_identical_across_backends(big_three):
             report.bottom_up.counterfactual,
             report.llm_calls,
             [(s.answer, s.count) for s in report.combination_insights.pie()],
+            encode_json(report_payload(report)),
         )
     assert reports["serial"] == reports["threaded:4"] == reports["asyncio:8"]
 
@@ -303,16 +311,17 @@ def test_engine_disk_store_warm_run_hits(big_three, tmp_path):
 
 
 def test_serial_backend_stays_serial_through_cache(big_three):
-    """SerialBackend's capacity=1 must bound an async-capable *inner*
-    model behind the engine's cache, not just the outer dispatch."""
+    """SerialBackend's capacity=1 bounds an async-capable *inner* model
+    behind the engine's cache, not just the outer dispatch."""
     inner = Instrumented()
     rage = Rage.from_corpus(
         big_three.corpus, inner, config=RageConfig(k=big_three.k, backend="serial")
     )
-    assert rage.llm.max_inflight == 1
-    results = rage.backend.run(rage.llm, _prompts(6))
+    results = rage.llm.generate_batch(_prompts(6))
     assert len(results) == 6
+    assert inner.calls == 6
     assert inner.max_inflight == 1
+    assert inner.threads == {threading.get_ident()}
 
 
 def test_asyncio_capacity_survives_cache_boundary(big_three):
@@ -320,8 +329,29 @@ def test_asyncio_capacity_survives_cache_boundary(big_three):
     rage = Rage.from_corpus(
         big_three.corpus, inner, config=RageConfig(k=big_three.k, backend="asyncio:3")
     )
-    rage.backend.run(rage.llm, _prompts(9))
+    rage.llm.generate_batch(_prompts(9))
+    assert inner.calls == 9
     assert 1 <= inner.max_inflight <= 3
+
+
+def test_backend_sees_only_cache_misses(big_three, tmp_path):
+    """With the cache on, the backend runs misses only: a warm engine
+    over a filled store submits nothing at all."""
+    config = RageConfig(k=big_three.k, cache_dir=str(tmp_path / "store"))
+    cold = Rage.from_corpus(
+        big_three.corpus, SimulatedLLM(knowledge=big_three.knowledge), config=config
+    )
+    expected = cold.explain(big_three.query)
+    assert cold.backend.stats.prompts == cold.llm.stats.misses > 0
+    warm = Rage.from_corpus(
+        big_three.corpus, SimulatedLLM(knowledge=big_three.knowledge), config=config
+    )
+    report = warm.explain(big_three.query)
+    assert warm.backend.stats.prompts == 0
+    assert warm.backend.stats.batches == 0
+    assert warm.llm.stats.misses == 0 and warm.llm.stats.disk_hits > 0
+    assert report.llm_calls == expected.llm_calls
+    assert report.top_down.counterfactual == expected.top_down.counterfactual
 
 
 def test_asyncio_backend_threads_sync_only_models():
@@ -390,18 +420,4 @@ def test_backend_stats_track_overlapping_submitters():
         thread.join(timeout=10.0)
     assert backend.stats.batches == 2
     assert backend.stats.max_active == 2
-    assert backend.stats.active == 0
-
-
-def test_backend_stats_cover_async_entry_point():
-    backend = AsyncioBackend(max_inflight=4)
-    model = Instrumented()
-
-    async def drive():
-        return await backend.arun(model, _prompts(3))
-
-    results = asyncio.run(drive())
-    assert len(results) == 3
-    assert backend.stats.batches == 1
-    assert backend.stats.prompts == 3
     assert backend.stats.active == 0

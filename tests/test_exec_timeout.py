@@ -106,6 +106,47 @@ def test_backends_enforce_per_call_timeout(backend_factory):
     assert list(err.value.prompts) == ["HANG this one"]
 
 
+@pytest.mark.parametrize(
+    "backend_factory",
+    [
+        lambda: SerialBackend(timeout=0.1),
+        lambda: ThreadedBackend(3, timeout=0.1),
+        lambda: AsyncioBackend(max_inflight=3, timeout=0.1),
+    ],
+    ids=["serial", "threaded", "asyncio"],
+)
+def test_backends_deadline_a_single_prompt(backend_factory):
+    started = time.monotonic()
+    with pytest.raises(GenerationTimeoutError) as err:
+        backend_factory().run(SlowPromptLLM(), ["HANG alone"])
+    assert time.monotonic() - started < 2.0
+    assert list(err.value.prompts) == ["HANG alone"]
+
+
+class CancelRecorder(SlowPromptLLM):
+    """Records the prompts whose ``agenerate`` was cancelled."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.cancelled: list = []
+
+    async def agenerate(self, prompt):  # type: ignore[override]
+        try:
+            return await super().agenerate(prompt)
+        except asyncio.CancelledError:
+            self.cancelled.append(prompt)
+            raise
+
+
+def test_asyncio_backend_cancels_a_hung_single_async_prompt():
+    """A one-prompt batch of a per-prompt model takes ``agenerate``, so
+    the deadline cancels the call instead of abandoning a thread."""
+    model = CancelRecorder()
+    with pytest.raises(GenerationTimeoutError):
+        AsyncioBackend(timeout=0.1).run(model, ["HANG alone"])
+    assert model.cancelled == ["HANG alone"]
+
+
 def test_backends_without_timeout_do_not_deadline():
     model = SlowPromptLLM(hang_seconds=0.02, offer_async=False)
     results = SerialBackend().run(model, PROMPTS)
@@ -125,20 +166,21 @@ def test_make_backend_threads_timeout_through_specs():
 
 def test_caching_llm_forwards_timeout_to_miss_dispatch():
     model = SlowPromptLLM(offer_async=False)
-    cached = CachingLLM(model, timeout=0.1)
+    cached = CachingLLM(model, SerialBackend(timeout=0.1))
+    started = time.monotonic()
     with pytest.raises(GenerationTimeoutError):
         cached.generate("HANG me")
-    # Batch misses are deadlined too; hits never are.
+    assert time.monotonic() - started < 2.0
+    # Misses are deadlined; hits never reach the backend at all.
     cached.generate("warm")
     model.hang_marker = "warm-is-cached-so-never-matches"
     assert cached.generate("warm").answer == "ok"
-    with pytest.raises(ConfigError):
-        CachingLLM(model, timeout=0)
+    assert cached.backend.stats.prompts == 2
 
 
 def test_caching_llm_batch_timeout_names_hung_prompt():
     model = SlowPromptLLM()
-    cached = CachingLLM(model, timeout=0.1)
+    cached = CachingLLM(model, AsyncioBackend(timeout=0.1))
     with pytest.raises(GenerationTimeoutError) as err:
         cached.generate_batch(PROMPTS)
     assert list(err.value.prompts) == ["HANG this one"]
@@ -146,37 +188,45 @@ def test_caching_llm_batch_timeout_names_hung_prompt():
 
 def test_config_request_timeout_reaches_backend():
     config = RageConfig(backend="asyncio:2", request_timeout=1.5)
-    backend = make_backend(
-        config.backend, batch_workers=config.batch_workers,
-        timeout=config.request_timeout,
-    )
+    backend = make_backend(config.backend, timeout=config.request_timeout)
     assert backend.timeout == 1.5
     with pytest.raises(ConfigError):
         RageConfig(request_timeout=-2)
 
 
 def test_engine_enforces_deadline_at_one_layer_only(big_three):
-    """With the cache on, the deadline lives in the cache wrapper's
-    per-call miss dispatch; the backend must NOT re-apply it as a
-    whole-batch bound over the wrapper's batch entry point."""
+    """The backend is the one layer that deadlines a local model's
+    calls, with the cache on (misses only) and off (every batch)."""
     from repro import Rage
-    from repro.llm.cache import CachingLLM
 
-    rage = Rage.from_corpus(
-        big_three.corpus,
-        SlowPromptLLM(hang_seconds=0.0, offer_async=False),
-        config=RageConfig(k=big_three.k, request_timeout=0.2),
-    )
-    assert isinstance(rage.llm, CachingLLM)
-    assert rage.llm.timeout == 0.2
-    assert rage.backend.timeout is None
-    # cache=False: the backend is the innermost layer and enforces it.
-    uncached = Rage.from_corpus(
-        big_three.corpus,
-        SlowPromptLLM(hang_seconds=0.0, offer_async=False),
-        config=RageConfig(k=big_three.k, request_timeout=0.2, cache=False),
-    )
-    assert uncached.backend.timeout == 0.2
+    for cache in (True, False):
+        rage = Rage.from_corpus(
+            big_three.corpus,
+            SlowPromptLLM(offer_async=False),
+            config=RageConfig(k=big_three.k, request_timeout=0.2, cache=cache),
+        )
+        assert rage.backend.timeout == 0.2
+        context = rage.retrieve(big_three.query)
+        evaluator = rage._evaluator(context)
+        evaluator.prompt_builder = HangingBuilder(evaluator.prompt_builder)
+        ids = context.doc_ids()
+        started = time.monotonic()
+        with pytest.raises(GenerationTimeoutError) as err:
+            evaluator.evaluate_many([ids, ids[:1], ids[:2]])
+        assert time.monotonic() - started < 2.0  # never waited the 5s hang out
+        assert len(err.value.prompts) == 1  # only the hung prompt failed
+        assert rage.backend.stats.prompts == 3
+
+
+class HangingBuilder:
+    """Marks the one-source prompt so :class:`SlowPromptLLM` hangs on it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def build(self, query, texts):
+        prompt = self.inner.build(query, texts)
+        return prompt + " HANG" if len(texts) == 1 else prompt
 
 
 def test_healthy_batch_slower_than_deadline_survives(big_three):

@@ -10,6 +10,7 @@ import asyncio
 
 import pytest
 
+from repro.exec import AsyncioBackend
 from repro.llm import (
     CachingLLM,
     DispatchPath,
@@ -112,7 +113,9 @@ def test_resolver_on_shipped_models():
         resolve_dispatch(SimulatedLLM(), prefer_sync=True) is DispatchPath.SYNC_BATCH
     )
     assert resolve_dispatch(ScriptedLLM()) is DispatchPath.ASYNC_BATCH
-    assert resolve_dispatch(CachingLLM(SimulatedLLM())) is DispatchPath.ASYNC_BATCH
+    # The prompt cache is a sync stage: its backend owns async dispatch.
+    cached = CachingLLM(SimulatedLLM(), AsyncioBackend())
+    assert resolve_dispatch(cached) is DispatchPath.SYNC_BATCH
 
 
 # -- abatched_generate -------------------------------------------------------
@@ -203,46 +206,28 @@ def test_scripted_async_counts_calls_identically():
 
 def test_caching_llm_async_batch_partitions_hits_and_misses():
     inner = AsyncBatch()
-    cached = CachingLLM(inner)
+    cached = CachingLLM(inner, AsyncioBackend())
     prompts = _prompts(4)
-    first = asyncio.run(cached.agenerate_batch(prompts + prompts[:2]))
+    first = cached.generate_batch(prompts + prompts[:2])
     assert len(first) == 6
+    assert [r.answer for r in first] == ["ab"] * 6  # the native async batch ran
     assert inner.calls == 4  # distinct misses only
     assert cached.stats.hits == 2 and cached.stats.misses == 4
-    second = asyncio.run(cached.agenerate_batch(prompts))
+    second = cached.generate_batch(prompts)
     assert [r.answer for r in second] == [r.answer for r in first[:4]]
     assert inner.calls == 4  # all hits
 
-    single = asyncio.run(cached.agenerate(prompts[0]))
+    single = cached.generate(prompts[0])
     assert single.answer == first[0].answer
     assert inner.calls == 4
 
 
-def test_caching_llm_agenerate_miss_reaches_inner_once():
-    inner = AsyncSingle()
-    cached = CachingLLM(inner)
-    prompt = _prompts(1)[0]
-    one = asyncio.run(cached.agenerate(prompt))
-    two = asyncio.run(cached.agenerate(prompt))
-    assert one is two
-    assert inner.calls == 1
-
-
 def test_caching_llm_forwards_max_inflight_to_inner_async_dispatch():
     inner = AsyncSingle(delay=0.01)
-    cached = CachingLLM(inner, max_inflight=2)
-    asyncio.run(cached.agenerate_batch(_prompts(6)))
+    cached = CachingLLM(inner, AsyncioBackend(max_inflight=2))
+    cached.generate_batch(_prompts(6))
+    assert inner.calls == 6
     assert 1 <= inner.max_inflight <= 2
-
-
-def test_sync_and_async_caching_paths_share_one_cache():
-    inner = SyncBatch()
-    cached = CachingLLM(inner)
-    prompts = _prompts(2)
-    cached.generate_batch(prompts)
-    before = cached.stats.misses
-    asyncio.run(cached.agenerate_batch(prompts))
-    assert cached.stats.misses == before  # async pass was all hits
 
 
 def test_default_inflight_cap_applies_when_unspecified(monkeypatch):

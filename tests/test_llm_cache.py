@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError
+from repro.exec import SerialBackend, ThreadedBackend
 from repro.llm import CachingLLM, GenerationResult, PromptBuilder, SimulatedLLM
 
 
@@ -23,7 +24,7 @@ class CountingModel:
 
 def test_cache_hit_avoids_inner_call():
     inner = CountingModel()
-    cached = CachingLLM(inner)
+    cached = CachingLLM(inner, SerialBackend())
     first = cached.generate("prompt one")
     second = cached.generate("prompt one")
     assert inner.calls == 1
@@ -35,7 +36,7 @@ def test_cache_hit_avoids_inner_call():
 
 def test_different_prompts_miss():
     inner = CountingModel()
-    cached = CachingLLM(inner)
+    cached = CachingLLM(inner, SerialBackend())
     cached.generate("a")
     cached.generate("b")
     assert inner.calls == 2
@@ -44,7 +45,7 @@ def test_different_prompts_miss():
 
 def test_clear_resets_entries_not_stats():
     inner = CountingModel()
-    cached = CachingLLM(inner)
+    cached = CachingLLM(inner, SerialBackend())
     cached.generate("a")
     cached.clear()
     cached.generate("a")
@@ -55,7 +56,7 @@ def test_clear_resets_entries_not_stats():
 
 def test_fifo_eviction():
     inner = CountingModel()
-    cached = CachingLLM(inner, max_entries=2)
+    cached = CachingLLM(inner, SerialBackend(), max_entries=2)
     cached.generate("a")
     cached.generate("b")
     cached.generate("c")  # evicts "a"
@@ -66,13 +67,13 @@ def test_fifo_eviction():
 
 def test_name_and_inner():
     inner = CountingModel()
-    cached = CachingLLM(inner)
+    cached = CachingLLM(inner, SerialBackend())
     assert "counting-stub" in cached.name
     assert cached.inner is inner
 
 
 def test_stats_empty():
-    cached = CachingLLM(CountingModel())
+    cached = CachingLLM(CountingModel(), SerialBackend())
     assert cached.stats.calls == 0
     assert cached.stats.hit_rate == 0.0
 
@@ -82,15 +83,15 @@ def test_invalid_max_entries_rejected():
     StopIteration (next(iter({})) on an empty cache) instead of failing
     fast at construction."""
     with pytest.raises(ConfigError):
-        CachingLLM(CountingModel(), max_entries=0)
+        CachingLLM(CountingModel(), SerialBackend(), max_entries=0)
     with pytest.raises(ConfigError):
-        CachingLLM(CountingModel(), max_entries=-3)
+        CachingLLM(CountingModel(), SerialBackend(), max_entries=-3)
 
 
 def test_eviction_survives_clear_between_inserts():
     """An externally emptied cache must not break the eviction path."""
     inner = CountingModel()
-    cached = CachingLLM(inner, max_entries=1)
+    cached = CachingLLM(inner, SerialBackend(), max_entries=1)
     cached.generate("a")
     cached.clear()
     cached.generate("b")  # cache is empty but at the size boundary
@@ -101,7 +102,7 @@ def test_eviction_survives_clear_between_inserts():
 
 def test_generate_batch_partitions_hits_and_misses():
     inner = CountingModel()
-    cached = CachingLLM(inner)
+    cached = CachingLLM(inner, SerialBackend())
     cached.generate("a")
     results = cached.generate_batch(["a", "b", "c", "b"])
     assert [r.prompt for r in results] == ["a", "b", "c", "b"]
@@ -117,7 +118,7 @@ def test_generate_batch_partitions_hits_and_misses():
 
 def test_generate_batch_second_pass_all_hits():
     inner = CountingModel()
-    cached = CachingLLM(inner)
+    cached = CachingLLM(inner, SerialBackend())
     cached.generate_batch(["a", "b"])
     calls = inner.calls
     results = cached.generate_batch(["a", "b"])
@@ -129,7 +130,7 @@ def test_generate_batch_bounded_cache_still_aligned():
     """Eviction during a batch larger than the cache must not lose
     results for the batch itself."""
     inner = CountingModel()
-    cached = CachingLLM(inner, max_entries=2)
+    cached = CachingLLM(inner, SerialBackend(), max_entries=2)
     results = cached.generate_batch(["a", "b", "c", "d", "a"])
     assert [r.prompt for r in results] == ["a", "b", "c", "d", "a"]
     assert len(cached) == 2  # only the two newest entries survive
@@ -149,15 +150,14 @@ def test_generate_batch_uses_inner_native_batch():
             ]
 
     inner = BatchingModel()
-    cached = CachingLLM(inner)
+    cached = CachingLLM(inner, SerialBackend())
     cached.generate_batch(["x", "y", "z"])
     assert inner.batch_calls == 1
 
 
 def test_generate_batch_forwards_thread_pool_to_non_batch_backend():
-    """Regression: the cache used to swallow batch_workers, so a
-    non-batchable backend behind the (default) cache never saw the
-    thread pool."""
+    """The misses of a batch reach the cache's threaded backend, so a
+    model without native batching behind the cache gets the pool."""
     import threading
 
     class ThreadTrackingModel(CountingModel):
@@ -170,19 +170,40 @@ def test_generate_batch_forwards_thread_pool_to_non_batch_backend():
             return super().generate(prompt)
 
     inner = ThreadTrackingModel()
-    cached = CachingLLM(inner, batch_workers=3)
+    cached = CachingLLM(inner, ThreadedBackend(3))
     results = cached.generate_batch([f"prompt-{i}" for i in range(6)])
     assert len(results) == 6
     assert inner.calls == 6
-    assert len(inner.threads) >= 1  # pool ran (thread reuse is scheduler's call)
-    with pytest.raises(ConfigError):
-        CachingLLM(CountingModel(), batch_workers=0)
+    assert threading.get_ident() not in inner.threads  # the pool ran them
+    assert cached.backend.stats.prompts == 6
+
+
+def test_misses_go_through_the_backend_read_at_call_time():
+    """The cache looks its backend's ``run`` up per dispatch, so a spy
+    installed after construction sees every miss batch — and no hit."""
+    inner = CountingModel()
+    backend = SerialBackend()
+    cached = CachingLLM(inner, backend)
+    submitted = []
+    real_run = backend.run
+
+    def spy(model, prompts):
+        submitted.append(list(prompts))
+        return real_run(model, prompts)
+
+    backend.run = spy
+    cached.generate("a")
+    cached.generate_batch(["a", "b", "c", "b"])
+    cached.generate("c")
+    assert submitted == [["a"], ["b", "c"]]
+    assert inner.calls == 3
+    assert cached.stats.misses == 3 and cached.stats.hits == 3
 
 
 def test_cache_wraps_simulated_llm_transparently():
     builder = PromptBuilder()
     raw = SimulatedLLM()
-    cached = CachingLLM(SimulatedLLM())
+    cached = CachingLLM(SimulatedLLM(), SerialBackend())
     prompt = builder.build(
         "Who won the pie contest trophy?",
         ["Sam Baker won the pie contest trophy in 2015."],
@@ -198,14 +219,14 @@ def test_disk_tier_write_through_and_promotion(tmp_path):
 
     store = PromptStore(tmp_path)
     inner = CountingModel()
-    cached = CachingLLM(inner, store=store)
+    cached = CachingLLM(inner, SerialBackend(), store=store)
     result = cached.generate("prompt one")
     assert inner.calls == 1
     assert store.stats.writes == 1  # write-through on the miss
 
     # A fresh wrapper on the same store: the disk answers, the model
     # is never touched, and the entry is promoted into memory.
-    revived = CachingLLM(CountingModel(), store=store)
+    revived = CachingLLM(CountingModel(), SerialBackend(), store=store)
     warm = revived.generate("prompt one")
     assert warm.answer == result.answer
     assert revived.inner.calls == 0
@@ -243,10 +264,10 @@ def test_concurrent_disk_hits_promote_once(tmp_path):
             return result
 
     store = RendezvousStore(tmp_path)
-    seeder = CachingLLM(CountingModel(), store=store)
+    seeder = CachingLLM(CountingModel(), SerialBackend(), store=store)
     expected = seeder.generate("hot prompt").answer
 
-    cold = CachingLLM(CountingModel(), store=store)
+    cold = CachingLLM(CountingModel(), SerialBackend(), store=store)
     results = [None, None]
 
     def read(i):
@@ -268,12 +289,12 @@ def test_disk_tier_serves_batches(tmp_path):
     from repro.llm import PromptStore
 
     store = PromptStore(tmp_path)
-    first = CachingLLM(CountingModel(), store=store)
+    first = CachingLLM(CountingModel(), SerialBackend(), store=store)
     prompts = [f"prompt {i}" for i in range(4)]
     expected = [r.answer for r in first.generate_batch(prompts)]
     assert first.inner.calls == 4
 
-    second = CachingLLM(CountingModel(), store=store)
+    second = CachingLLM(CountingModel(), SerialBackend(), store=store)
     answers = [r.answer for r in second.generate_batch(prompts + prompts[:2])]
     assert answers[:4] == expected
     assert second.inner.calls == 0
@@ -298,24 +319,17 @@ def test_disk_tier_keys_on_inner_model_name(tmp_path):
             return GenerationResult(answer=self._name, prompt=prompt)
 
     store = PromptStore(tmp_path)
-    CachingLLM(NamedModel("model-a"), store=store).generate("p")
-    other = CachingLLM(NamedModel("model-b"), store=store)
+    CachingLLM(NamedModel("model-a"), SerialBackend(), store=store).generate("p")
+    other = CachingLLM(NamedModel("model-b"), SerialBackend(), store=store)
     assert other.generate("p").answer == "model-b"  # no cross-model bleed
     assert other.inner.calls == 1
 
 
 def test_no_store_keeps_memory_only_behavior():
-    cached = CachingLLM(CountingModel())
+    cached = CachingLLM(CountingModel(), SerialBackend())
     cached.generate("p")
     assert cached.store is None
     assert cached.stats.disk_hits == 0
-
-
-def test_invalid_max_inflight_rejected():
-    from repro.errors import ConfigError as CE
-
-    with pytest.raises(CE):
-        CachingLLM(CountingModel(), max_inflight=0)
 
 
 def test_disk_tier_splits_on_cache_params(tmp_path):
@@ -335,8 +349,8 @@ def test_disk_tier_splits_on_cache_params(tmp_path):
         "Sources:\n1. Roger Federer is widely considered the best player.\n\n"
         "Question: Who is the best tennis player?\n\nAnswer:"
     )
-    CachingLLM(mild, store=store).generate(prompt)
-    other = CachingLLM(sharp, store=store)
+    CachingLLM(mild, SerialBackend(), store=store).generate(prompt)
+    other = CachingLLM(sharp, SerialBackend(), store=store)
     other.generate(prompt)
     assert other.stats.disk_hits == 0  # no cross-configuration bleed
     assert store.entry_count == 2

@@ -2,21 +2,20 @@
 
 Covers the :mod:`repro.llm.coalesce` primitives (Latch, SingleFlight)
 and their integration into :class:`~repro.llm.cache.CachingLLM`: N
-concurrent misses on one key — threads or asyncio tasks, with or
-without a disk store — produce exactly one inner call and identical
-results for every caller; a failing flight reaches every waiter and
-never poisons the registry.
+concurrent misses on one key — with or without a disk store — produce
+exactly one inner call and identical results for every caller; a
+failing flight reaches every waiter and never poisons the registry.
 """
 
 from __future__ import annotations
 
-import asyncio
 import threading
 import time
 
 import pytest
 
 from repro.errors import GenerationError
+from repro.exec import SerialBackend
 from repro.llm.base import GenerationResult
 from repro.llm.cache import CachingLLM
 from repro.llm.coalesce import Latch, SingleFlight
@@ -89,7 +88,7 @@ def _run_herd(cached, prompt, n=HERD):
 def test_thundering_herd_threads_single_inner_call():
     gate = threading.Event()
     inner = GatedLLM(gate=gate)
-    cached = CachingLLM(inner)
+    cached = CachingLLM(inner, SerialBackend())
     threads, results, errors = _run_herd(cached, "same prompt")
     inner.entered.wait(5.0)
     # Every non-leader must have joined the flight before it resolves.
@@ -111,7 +110,7 @@ def test_thundering_herd_with_disk_store_writes_once(tmp_path):
     gate = threading.Event()
     inner = GatedLLM(gate=gate)
     store = PromptStore(str(tmp_path / "store"))
-    cached = CachingLLM(inner, store=store)
+    cached = CachingLLM(inner, SerialBackend(), store=store)
     threads, results, errors = _run_herd(cached, "persisted prompt")
     inner.entered.wait(5.0)
     _await(lambda: cached.flights.stats.coalesced == HERD - 1)
@@ -123,29 +122,14 @@ def test_thundering_herd_with_disk_store_writes_once(tmp_path):
     assert store.stats.writes == 1  # the winner writes through exactly once
     assert {r.answer for r in results} == {"answer:persisted prompt"}
     # A fresh wrapper over the same store answers warm, no real call.
-    rewarmed = CachingLLM(GatedLLM(), store=store)
+    rewarmed = CachingLLM(GatedLLM(), SerialBackend(), store=store)
     assert rewarmed.generate("persisted prompt").answer == "answer:persisted prompt"
     assert rewarmed.inner.calls == 0
 
 
-def test_single_flight_off_dispatches_every_concurrent_miss():
-    gate = threading.Event()
-    inner = GatedLLM(gate=gate)
-    cached = CachingLLM(inner, single_flight=False)
-    assert cached.flights is None
-    threads, results, errors = _run_herd(cached, "same prompt", n=4)
-    _await(lambda: inner.calls == 4)  # nobody coalesces: all four dispatch
-    gate.set()
-    for t in threads:
-        t.join(timeout=10.0)
-    assert errors == [None] * 4
-    assert inner.calls == 4
-    assert {r.answer for r in results} == {"answer:same prompt"}
-
-
 def test_distinct_prompts_do_not_coalesce():
     inner = GatedLLM()
-    cached = CachingLLM(inner)
+    cached = CachingLLM(inner, SerialBackend())
     barrier = threading.Barrier(2)
     outs = [None, None]
 
@@ -166,80 +150,13 @@ def test_distinct_prompts_do_not_coalesce():
 
 
 # ---------------------------------------------------------------------------
-# Thundering herd — asyncio
-
-
-class AsyncGatedLLM:
-    """Async-only model whose first call parks on a loop-native event."""
-
-    name = "async-gated-llm"
-
-    def __init__(self) -> None:
-        self.calls = 0
-        self.entered = asyncio.Event()
-        self.gate = asyncio.Event()
-
-    async def agenerate(self, prompt: str) -> GenerationResult:
-        self.calls += 1
-        self.entered.set()
-        await asyncio.wait_for(self.gate.wait(), timeout=10.0)
-        return GenerationResult(answer=f"answer:{prompt}", prompt=prompt)
-
-
-def test_thundering_herd_async_single_inner_call():
-    async def scenario():
-        inner = AsyncGatedLLM()
-        cached = CachingLLM(inner)
-        tasks = [
-            asyncio.ensure_future(cached.agenerate("same prompt"))
-            for _ in range(HERD)
-        ]
-        await asyncio.wait_for(inner.entered.wait(), timeout=10.0)
-        while cached.flights.stats.coalesced < HERD - 1:
-            await asyncio.sleep(0.002)
-        inner.gate.set()
-        return inner, await asyncio.gather(*tasks)
-
-    inner, results = asyncio.run(scenario())
-    assert inner.calls == 1
-    assert {r.answer for r in results} == {"answer:same prompt"}
-
-
-def test_async_herd_failure_reaches_all_and_registry_recovers():
-    class ExplodingLLM:
-        name = "exploding-llm"
-
-        def __init__(self):
-            self.calls = 0
-
-        async def agenerate(self, prompt):
-            self.calls += 1
-            await asyncio.sleep(0.01)  # stay in flight long enough to coalesce
-            raise GenerationError("async inner exploded")
-
-    async def scenario():
-        inner = ExplodingLLM()
-        cached = CachingLLM(inner)
-        tasks = [
-            asyncio.ensure_future(cached.agenerate("doomed prompt"))
-            for _ in range(4)
-        ]
-        outcomes = await asyncio.gather(*tasks, return_exceptions=True)
-        return cached, outcomes
-
-    cached, outcomes = asyncio.run(scenario())
-    assert all(isinstance(o, GenerationError) for o in outcomes)
-    assert cached.flights.inflight() == 0  # registry not poisoned
-
-
-# ---------------------------------------------------------------------------
 # Failure propagation
 
 
 def test_failure_reaches_every_waiter_and_next_request_retries():
     gate = threading.Event()
     inner = GatedLLM(gate=gate, fail_times=1)
-    cached = CachingLLM(inner)
+    cached = CachingLLM(inner, SerialBackend())
     threads, results, errors = _run_herd(cached, "flaky prompt")
     inner.entered.wait(5.0)
     _await(lambda: cached.flights.stats.coalesced == HERD - 1)
@@ -264,7 +181,7 @@ def test_failure_reaches_every_waiter_and_next_request_retries():
 def test_batch_follows_anothers_flight_and_dispatches_only_its_own():
     gate = threading.Event()
     inner = GatedLLM(gate=gate)
-    cached = CachingLLM(inner)
+    cached = CachingLLM(inner, SerialBackend())
     leader_out = []
     leader = threading.Thread(
         target=lambda: leader_out.append(cached.generate("shared"))
@@ -292,34 +209,13 @@ def test_batch_follows_anothers_flight_and_dispatches_only_its_own():
 
 def test_batch_failure_rejects_all_led_flights():
     inner = GatedLLM(fail_times=1)
-    cached = CachingLLM(inner)
+    cached = CachingLLM(inner, SerialBackend())
     with pytest.raises(GenerationError):
         cached.generate_batch(["a", "b"])
     assert cached.flights.inflight() == 0
     # Both keys retry cleanly afterwards.
     results = cached.generate_batch(["a", "b"])
     assert [r.answer for r in results] == ["answer:a", "answer:b"]
-
-
-def test_async_batch_coalesces_with_sync_flight():
-    gate = threading.Event()
-    inner = GatedLLM(gate=gate)
-    cached = CachingLLM(inner)
-    leader = threading.Thread(target=lambda: cached.generate("shared"))
-    leader.start()
-    inner.entered.wait(5.0)
-
-    async def scenario():
-        task = asyncio.ensure_future(cached.agenerate_batch(["shared"]))
-        while cached.flights.stats.coalesced < 1:
-            await asyncio.sleep(0.002)
-        gate.set()
-        return await task
-
-    results = asyncio.run(scenario())
-    leader.join(timeout=10.0)
-    assert [r.answer for r in results] == ["answer:shared"]
-    assert inner.calls == 1
 
 
 # ---------------------------------------------------------------------------
@@ -341,15 +237,6 @@ def test_latch_reject_raises_for_every_waiter():
     for _ in range(3):
         with pytest.raises(RuntimeError):
             latch.wait()
-
-
-def test_latch_async_wait_after_settlement_returns_immediately():
-    async def scenario():
-        latch = Latch()
-        latch.resolve(41)
-        return await latch.wait_async()
-
-    assert asyncio.run(scenario()) == 41
 
 
 def test_single_flight_join_leader_then_followers():

@@ -25,7 +25,7 @@ from repro.errors import (
     MalformedResponseError,
     TransportTimeoutError,
 )
-from repro.exec import AsyncioBackend
+from repro.exec import AsyncioBackend, SerialBackend
 from repro.llm.base import (
     DispatchPath,
     abatched_generate,
@@ -221,12 +221,12 @@ def test_sync_async_batch_parity_byte_identical():
 
 
 def test_capacity_survives_cache_boundary():
-    """CachingLLM's forwarded max_inflight bounds concurrent HTTP."""
+    """The cache's asyncio backend bounds concurrent HTTP for its misses."""
     prompts = [f"prompt {i}" for i in range(12)]
     with FakeLLMServer(latency=0.02) as server:
         llm = RemoteLLM("openai", "m", base_url=server.base_url, retry=FAST_RETRY)
-        cached = CachingLLM(llm, max_inflight=3)
-        results = asyncio.run(cached.agenerate_batch(prompts))
+        cached = CachingLLM(llm, AsyncioBackend(max_inflight=3))
+        results = cached.generate_batch(prompts)
         assert len(results) == 12
         assert 1 <= server.max_inflight <= 3
 
@@ -243,9 +243,8 @@ def test_evaluator_inherits_backend_capacity_over_http(big_three):
             config=RageConfig(k=big_three.k),
         )
         context = probe.retrieve(big_three.query)
-        backend = AsyncioBackend(max_inflight=4)
-        cached = CachingLLM(llm, max_inflight=backend.capacity)
-        evaluator = ContextEvaluator(cached, context, backend=backend)
+        cached = CachingLLM(llm, AsyncioBackend(max_inflight=4))
+        evaluator = ContextEvaluator(cached, context)
         ids = context.doc_ids()
         orderings = [ids[:n] for n in range(1, len(ids) + 1)] + [ids]
         evaluations = evaluator.evaluate_many(orderings)
@@ -331,7 +330,7 @@ def test_warm_prompt_store_zero_http_requests(tmp_path):
             llm = RemoteLLM(
                 "openai", "m", base_url=server.base_url, retry=FAST_RETRY
             )
-            cached = CachingLLM(llm, store=store)
+            cached = CachingLLM(llm, SerialBackend(), store=store)
             return [cached.generate(p).answer for p in prompts]
 
         cold = session()
@@ -350,6 +349,7 @@ def test_store_splits_on_remote_cache_params(tmp_path):
                 "openai", "m", base_url=server.base_url,
                 max_tokens=16, retry=FAST_RETRY,
             ),
+            SerialBackend(),
             store=store,
         )
         second = CachingLLM(
@@ -357,6 +357,7 @@ def test_store_splits_on_remote_cache_params(tmp_path):
                 "openai", "m", base_url=server.base_url,
                 max_tokens=32, retry=FAST_RETRY,
             ),
+            SerialBackend(),
             store=store,
         )
         first.generate("same prompt")
@@ -419,7 +420,6 @@ def test_engine_remote_timeout_lives_in_transport_only(big_three):
         )
         assert rage.backend.timeout is None
         assert isinstance(rage.llm, CachingLLM)
-        assert rage.llm.timeout is None
         remote = rage.llm.inner
         assert remote.client.timeout == 0.2
         # A stalled first attempt is retried — the configured retries

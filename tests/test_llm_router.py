@@ -403,6 +403,15 @@ def test_cancelled_hedge_loser_refunds_its_rate_limit_reservation():
     assert admitted and wait == 0.0
 
 
+def test_sync_generate_hedges_too():
+    primary = EchoLLM("prim", answer="slow", delay=0.5)
+    backup = EchoLLM("back", answer="hedged", delay=0.0)
+    router = RouterLLM([primary, backup], hedge=True, hedge_delay=0.02)
+    assert router.generate("q").answer == "hedged"
+    assert router.stats.requests == 1
+    assert router.stats.hedges_fired == 1 and router.stats.hedges_won == 1
+
+
 def test_hedge_both_racers_failing_falls_back_to_the_pool():
     primary = EchoLLM("prim", fail_first=9, delay=0.05)
     backup = EchoLLM("back", fail_first=9)
@@ -454,6 +463,70 @@ def test_two_server_failover_report_bytes_are_identical():
             assert server_b.request_count > 0
     # ...and the report the client saw is byte-for-byte the same.
     assert degraded == healthy
+
+
+class SlowAsyncSimulated(SimulatedLLM):
+    """Simulated member whose async path is slow enough to get hedged."""
+
+    def __init__(self, name: str, delay: float, knowledge) -> None:
+        super().__init__(knowledge=knowledge)
+        self._member_name = name
+        self.delay = delay
+
+    @property
+    def name(self) -> str:
+        return self._member_name
+
+    async def agenerate(self, prompt: str) -> GenerationResult:
+        await asyncio.sleep(self.delay)
+        return self.generate(prompt)
+
+
+def _hedging_router(case) -> RouterLLM:
+    return RouterLLM(
+        [
+            SlowAsyncSimulated("slow", delay=0.2, knowledge=case.knowledge),
+            SlowAsyncSimulated("fast", delay=0.0, knowledge=case.knowledge),
+        ],
+        hedge=True,
+        hedge_delay=0.01,
+    )
+
+
+@pytest.mark.parametrize("backend", [None, "threaded:4", "asyncio:2"])
+def test_hedging_router_behind_the_cache_fires_through_the_engine(backend):
+    """The cache sends its misses to the backend; on every backend, the
+    default serial one included, the router runs its hedged race, so a
+    slow primary gets hedged."""
+    case = load_use_case("big_three")
+    router = _hedging_router(case)
+    rage = Rage.from_corpus(
+        case.corpus, router, config=RageConfig(k=case.k, backend=backend)
+    )
+    report = rage.explain(case.query)
+    assert router.stats.hedges_fired > 0
+    assert router.stats.hedges_won > 0
+    assert rage.backend.stats.prompts == rage.llm.stats.misses
+    assert encode_json(report_payload(report)) == _report_bytes(
+        case, SimulatedLLM(knowledge=case.knowledge)
+    )
+
+
+def test_one_prompt_search_steps_still_hedge_on_asyncio():
+    """At search_batch_size=1 every counterfactual step is a one-prompt
+    batch; each still runs the router's hedged race."""
+    case = load_use_case("big_three")
+    router = _hedging_router(case)
+    rage = Rage.from_corpus(
+        case.corpus,
+        router,
+        config=RageConfig(k=case.k, backend="asyncio:2", search_batch_size=1),
+    )
+    result = rage.permutation_counterfactual(case.query)
+    assert result.num_evaluations > 1
+    assert rage.backend.stats.prompts == rage.backend.stats.batches
+    assert router.stats.hedges_fired > 0
+    assert router.stats.hedges_fired == router.stats.hedges_won
 
 
 def test_two_server_breaker_trips_after_exactly_n_failures():

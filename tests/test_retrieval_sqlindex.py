@@ -282,6 +282,80 @@ def test_concurrent_readers_during_writes(tmp_path, docs):
         assert len(ix) == len(docs)
 
 
+def test_short_lived_search_threads_leave_bounded_connections(tmp_path, docs):
+    """A thread per request (the serving model) must not leave one open
+    connection per thread that ever searched: connections go back to a
+    small pool, and the rankings stay those of a single-thread search."""
+    from repro.retrieval.sqlindex import MAX_IDLE_CONNECTIONS
+
+    with open_index(tmp_path / "ix") as ix:
+        ix.add_many(docs)
+        searcher = SqliteSearcher(ix, scorer=BM25Scorer())
+        expected = searcher.search("quick fox", k=3).doc_ids()
+        rankings = []
+        lock = threading.Lock()
+
+        def one_search():
+            ranking = searcher.search("quick fox", k=3).doc_ids()
+            with lock:
+                rankings.append(ranking)
+
+        for _ in range(10):  # overlapping waves of short-lived threads
+            threads = [threading.Thread(target=one_search) for _ in range(5)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        assert len(rankings) == 50
+        assert all(ranking == expected for ranking in rankings)
+        assert 1 <= len(ix._connections) <= MAX_IDLE_CONNECTIONS
+    assert len(ix._connections) == 0  # close() reaps the pool
+
+
+def test_idle_connection_pool_is_capped(tmp_path, docs):
+    """Many threads inside snapshots at once each need a connection;
+    once they leave, only MAX_IDLE_CONNECTIONS stay open."""
+    from repro.retrieval.sqlindex import MAX_IDLE_CONNECTIONS
+
+    with open_index(tmp_path / "ix") as ix:
+        ix.add_many(docs)
+        width = MAX_IDLE_CONNECTIONS + 3
+        inside = threading.Barrier(width + 1, timeout=10)
+        leave = threading.Event()
+
+        def hold_snapshot():
+            with ix.snapshot():
+                ix.document_frequency("quick")
+                inside.wait()
+                leave.wait(10)
+
+        threads = [threading.Thread(target=hold_snapshot) for _ in range(width)]
+        for thread in threads:
+            thread.start()
+        inside.wait()
+        assert len(ix._connections) == width  # one lent per snapshot
+        leave.set()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert len(ix._connections) == MAX_IDLE_CONNECTIONS
+
+
+def test_reads_inside_a_snapshot_share_its_connection(tmp_path, docs):
+    with open_index(tmp_path / "ix") as ix:
+        ix.add_many(docs)
+        with ix.snapshot() as conn:
+            ix.postings("quick")
+            ix.stats
+            assert len(ix._connections) == 1
+            # Another thread's read meanwhile borrows a second connection.
+            worker = threading.Thread(target=ix.document_frequency, args=("fox",))
+            worker.start()
+            worker.join(timeout=10)
+            assert len(ix._connections) == 2
+            conn.execute("SELECT 1")  # still this block's live connection
+        assert len(ix._connections) == 2  # both went back to the pool
+
+
 def test_snapshot_isolates_a_search_from_commits(tmp_path, docs):
     """Inside one snapshot, reads see one database version even after
     another connection (here: a second handle) commits."""
