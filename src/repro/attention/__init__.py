@@ -1,4 +1,4 @@
-"""Attention substrate: positional priors and synthetic attention traces.
+"""Attention substrate: positional priors and synthetic per-source attention.
 
 Substitutes for the paper's Hugging Face attention tensors (see
 DESIGN.md section 3.2): the aggregate per-source attention preserves the
@@ -6,12 +6,11 @@ position + query-salience structure the explanations depend on.
 """
 
 from .aggregate import (
-    aggregate_by_source,
     combination_score,
     normalize_scores,
     rank_sources,
 )
-from .model import AttentionModel, AttentionTrace, TokenAttention, source_attention_scores
+from .model import AttentionModel
 from .positional import (
     PositionPrior,
     inverted_v_weights,
@@ -23,14 +22,10 @@ from .positional import (
 )
 
 __all__ = [
-    "aggregate_by_source",
     "combination_score",
     "normalize_scores",
     "rank_sources",
     "AttentionModel",
-    "AttentionTrace",
-    "TokenAttention",
-    "source_attention_scores",
     "PositionPrior",
     "inverted_v_weights",
     "position_weights",

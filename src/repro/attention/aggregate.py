@@ -1,12 +1,15 @@
-"""Aggregation of attention traces into source relevance estimates.
+"""Relevance estimates from per-source attention.
 
-Implements the paper's first relevance method ``S``:
+The paper's first relevance method ``S``
 
     "we aggregate the LLM's attention values, summing them over all
     internal layers, attention heads, and tokens corresponding to a
     combination's constituent sources."
 
-and the combination-level estimate used to order equal-size subsets:
+arrives here already summed per source: a model's ``attention(prompt)``
+does the summing (see :mod:`repro.llm.base`).  This module normalizes
+those totals and provides the combination-level estimate used to order
+equal-size subsets:
 
     "the sum of the relative relevance scores of all sources within the
     combination".
@@ -14,23 +17,7 @@ and the combination-level estimate used to order equal-size subsets:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
-
-from .model import AttentionTrace
-
-
-def aggregate_by_source(trace: AttentionTrace, doc_ids: Sequence[str]) -> Dict[str, float]:
-    """Sum attention over layers, heads and tokens, keyed by document id.
-
-    ``doc_ids`` must align with the source order the trace was built
-    from.  Sources whose tokens produced no attention get 0.0.
-    """
-    totals = trace.source_totals
-    scores = {doc_id: 0.0 for doc_id in doc_ids}
-    for index, doc_id in enumerate(doc_ids):
-        if index < len(totals):
-            scores[doc_id] = totals[index]
-    return scores
+from typing import Dict, Iterable, List
 
 
 def combination_score(source_scores: Dict[str, float], combination: Iterable[str]) -> float:

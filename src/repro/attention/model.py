@@ -1,8 +1,8 @@
-"""Synthetic multi-layer, multi-head attention traces.
+"""Synthetic per-source attention totals.
 
 The real RAGE sums Llama-2 attention values "over all internal layers,
 attention heads, and tokens corresponding to a combination's constituent
-sources".  Without the real model we synthesize attention tensors whose
+sources".  Without the real model we synthesize attention values whose
 structure preserves the two signals that drive that aggregate:
 
 * **position** — each source's share of attention follows the simulated
@@ -11,19 +11,24 @@ structure preserves the two signals that drive that aggregate:
   content terms receive proportionally more attention.
 
 On top of that deterministic backbone, per-(layer, head, token) values
-are modulated by a hash-seeded pseudo-random factor, so traces look like
-real head-to-head variation while remaining exactly reproducible.
+are modulated by a hash-seeded pseudo-random factor, so totals carry
+real head-to-head variation while remaining exactly reproducible.  Only
+the per-source sums leave this module: they are all the paper's
+aggregate consumes.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence
 
-from ..errors import ConfigError
 from ..textproc import Tokenizer, word_spans
 from .positional import PositionPrior, position_weights
+
+#: Simulated transformer shape.  The aggregation is linear, so the shape
+#: does not change relative source ordering; small keeps it cheap.
+NUM_LAYERS = 4
+NUM_HEADS = 4
 
 
 def _hash_unit(*parts: object) -> float:
@@ -33,103 +38,45 @@ def _hash_unit(*parts: object) -> float:
     return (int.from_bytes(digest, "big") + 1) / (2**64 + 2)
 
 
-@dataclass(frozen=True)
-class TokenAttention:
-    """Attention assigned to one source token, per layer and head.
-
-    ``values[layer][head]`` is the attention weight this token received
-    from the (simulated) answer position.
-    """
-
-    token: str
-    source_index: int
-    values: Tuple[Tuple[float, ...], ...]
-
-    def total(self) -> float:
-        """Sum over all layers and heads (the paper's aggregation unit)."""
-        return sum(sum(head_values) for head_values in self.values)
-
-
-@dataclass
-class AttentionTrace:
-    """The full synthetic attention record for one generation.
-
-    Attributes
-    ----------
-    num_layers, num_heads:
-        Tensor dimensions.
-    tokens:
-        Flat list of per-token attention entries across all sources.
-    source_totals:
-        Convenience: summed attention per source index, aligned with the
-        context order the prompt presented.
-    """
-
-    num_layers: int
-    num_heads: int
-    tokens: List[TokenAttention] = field(default_factory=list)
-
-    @property
-    def source_totals(self) -> List[float]:
-        """Summed attention per source position."""
-        if not self.tokens:
-            return []
-        k = max(entry.source_index for entry in self.tokens) + 1
-        totals = [0.0] * k
-        for entry in self.tokens:
-            totals[entry.source_index] += entry.total()
-        return totals
-
-    def source_share(self) -> List[float]:
-        """Per-source attention normalized to sum to 1."""
-        totals = self.source_totals
-        mass = sum(totals)
-        if mass <= 0:
-            return totals
-        return [value / mass for value in totals]
-
-
 class AttentionModel:
-    """Generates deterministic synthetic attention for a (query, sources).
+    """Deterministic synthetic attention for a (query, sources) prompt.
 
     Parameters
     ----------
-    num_layers, num_heads:
-        Simulated transformer shape.  Small defaults keep perturbation
-        searches fast; the aggregation is linear so the shape does not
-        change relative source ordering.
     prior:
         Position prior governing the across-source attention split.
     seed:
         Extra entropy folded into the per-token hash so different model
-        instances produce different (but individually stable) traces.
+        instances produce different (but individually stable) totals.
+    depth:
+        Shape of the V-shaped / inverted-V prior.
     """
 
     def __init__(
         self,
-        num_layers: int = 4,
-        num_heads: int = 4,
         prior: PositionPrior | str = PositionPrior.V_SHAPED,
         seed: int = 0,
         depth: float = 0.5,
     ) -> None:
-        if num_layers <= 0 or num_heads <= 0:
-            raise ConfigError("attention model needs >= 1 layer and head")
-        self.num_layers = num_layers
-        self.num_heads = num_heads
         self.prior = PositionPrior(prior)
         self.seed = seed
         self.depth = depth
         self._tokenizer = Tokenizer(remove_stopwords=True, stem=True)
 
-    def trace(self, query: str, source_texts: Sequence[str]) -> AttentionTrace:
-        """Build the attention trace for one prompt evaluation."""
-        trace = AttentionTrace(num_layers=self.num_layers, num_heads=self.num_heads)
+    def trace(self, query: str, source_texts: Sequence[str]) -> List[float]:
+        """Attention summed over layers, heads and tokens, per source.
+
+        One total per source, in prompt order (0.0 for a source with no
+        tokens).  Each token's values are summed over heads within a
+        layer, then over layers, then added into its source in token
+        order — a fixed order, so totals are bit-stable.
+        """
         k = len(source_texts)
         if k == 0:
-            return trace
+            return []
         pos_weights = position_weights(self.prior, k, depth=self.depth)
         query_terms = set(self._tokenizer.tokenize(query))
+        totals = [0.0] * k
         for source_index, text in enumerate(source_texts):
             spans = word_spans(text)
             if not spans:
@@ -139,25 +86,17 @@ class AttentionModel:
                 for span in spans
             ]
             salience_mass = sum(saliences)
-            for token_index, (span, salience) in enumerate(zip(spans, saliences)):
+            for token_index, salience in enumerate(saliences):
                 base = pos_weights[source_index] * salience / salience_mass
-                values = tuple(
-                    tuple(
+                totals[source_index] += sum(
+                    sum(
                         base
                         * (0.5 + _hash_unit(self.seed, source_index, token_index, layer, head))
-                        for head in range(self.num_heads)
+                        for head in range(NUM_HEADS)
                     )
-                    for layer in range(self.num_layers)
+                    for layer in range(NUM_LAYERS)
                 )
-                trace.tokens.append(
-                    TokenAttention(token=span.text, source_index=source_index, values=values)
-                )
-        return trace
+        return totals
 
     def _analyzed(self, token: str) -> set:
         return set(self._tokenizer.tokenize(token))
-
-
-def source_attention_scores(trace: AttentionTrace) -> Dict[int, float]:
-    """Aggregate a trace into per-source totals keyed by source index."""
-    return dict(enumerate(trace.source_totals))

@@ -608,6 +608,8 @@ class Rage:
             if self.config.cache_dir is not None
             else None
         )
+        #: The model as given: attention relevance asks it directly.
+        self.model: LanguageModel = llm
         self.llm: LanguageModel = (
             CachingLLM(llm, self.backend, store=self.store)
             if self.config.cache
@@ -660,9 +662,8 @@ class Rage:
     ) -> AskResult:
         """Retrieve (unless given a context) and answer.
 
-        The full generation (with attention trace) also primes the
-        evaluator's memo, so a shared evaluator never re-pays for the
-        full-context evaluation.
+        The full generation also primes the evaluator's memo, so a
+        shared evaluator never re-pays for the full-context evaluation.
         """
         context = context or self.retrieve(query)
         evaluator = evaluator or self._evaluator(context)
@@ -680,7 +681,7 @@ class Rage:
     def relevance_scores(self, context: Context) -> Dict[str, float]:
         """``S(q, d, Dq)`` under the configured method."""
         scorer = make_scorer(
-            self.config.relevance_method, llm=self.llm, prompt_builder=self.prompt_builder
+            self.config.relevance_method, llm=self.model, prompt_builder=self.prompt_builder
         )
         return scorer.scores(context)
 
@@ -872,10 +873,9 @@ class Rage:
         )
 
         # Score once and share: with attention-based relevance each
-        # scores() call is a fresh full-context generation outside the
-        # shared evaluator, so per-search recomputation would both
-        # duplicate prompts and escape report.llm_calls.  The staged
-        # plan also wants the scores, to order its seed round.
+        # scores() call is one attention() call on the model, which
+        # per-search recomputation would repeat.  The staged plan also
+        # wants the scores, to order its seed round.
         scores = self.relevance_scores(context)
 
         lattice = AnswerLattice(context) if self.config.plan_pruning else None

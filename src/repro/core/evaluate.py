@@ -150,7 +150,7 @@ class ContextEvaluator:
         return [self._memo[key] for key in keys]
 
     def generation(self, ordered_doc_ids: Sequence[str]) -> GenerationResult:
-        """Full generation result (fresh call; used for attention traces)."""
+        """Full generation result (fresh call, bypassing the memo)."""
         return self._generate(tuple(ordered_doc_ids))
 
     def prime(
@@ -159,7 +159,7 @@ class ContextEvaluator:
         """Memoize an externally produced generation for an ordering.
 
         Lets a caller that already paid for a full generation (e.g. the
-        engine's ``ask``, which needs the attention trace) seed the memo
+        engine's ``ask``, which returns the full result) seed the memo
         so later ``evaluate`` calls on the same ordering are free.
         """
         return self._memoize(tuple(ordered_doc_ids), result)

@@ -14,12 +14,11 @@ from __future__ import annotations
 from enum import Enum
 from typing import Dict, Optional, Protocol
 
-from ..attention.aggregate import aggregate_by_source, normalize_scores
-from ..errors import ConfigError
+from ..attention.aggregate import normalize_scores
+from ..errors import ConfigError, GenerationError
 from ..llm.base import LanguageModel
 from ..llm.prompts import PromptBuilder
 from .context import Context
-from .evaluate import ContextEvaluator
 
 
 class RelevanceMethod(str, Enum):
@@ -47,9 +46,12 @@ class RetrievalRelevance:
 class AttentionRelevance:
     """Relevance = LLM attention summed over layers, heads and tokens.
 
-    Runs one full-context generation and aggregates its attention trace
-    per source.  Models that expose no attention are a configuration
-    error — fall back to :class:`RetrievalRelevance` for those.
+    Asks the model for its per-source attention on the full-context
+    prompt — the optional ``attention(prompt)`` capability described in
+    :mod:`repro.llm.base` — once per call.  Pass the model itself, not
+    a caching wrapper: attention is never cached.  Models that expose
+    no attention are a configuration error — fall back to
+    :class:`RetrievalRelevance` for those.
     """
 
     def __init__(
@@ -63,14 +65,21 @@ class AttentionRelevance:
         self.normalize = normalize
 
     def scores(self, context: Context) -> Dict[str, float]:
-        evaluator = ContextEvaluator(self.llm, context, self.prompt_builder)
-        result = evaluator.generation(context.doc_ids())
-        if result.attention is None:
+        attention = getattr(self.llm, "attention", None)
+        if not callable(attention):
             raise ConfigError(
                 f"model {self.llm.name!r} exposes no attention; "
                 "use RelevanceMethod.RETRIEVAL"
             )
-        scores = aggregate_by_source(result.attention, context.doc_ids())
+        doc_ids = context.doc_ids()
+        prompt = self.prompt_builder.build(context.query, context.texts_for(doc_ids))
+        totals = list(attention(prompt))
+        if len(totals) != len(doc_ids):
+            raise GenerationError(
+                f"model {self.llm.name!r} returned {len(totals)} attention "
+                f"totals for {len(doc_ids)} sources"
+            )
+        scores = dict(zip(doc_ids, totals))
         return normalize_scores(scores) if self.normalize else scores
 
 

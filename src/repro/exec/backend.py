@@ -16,9 +16,7 @@ inherits the chosen execution strategy without knowing it exists.
 
 Backends never change *what* is computed: answers are byte-identical
 across all of them (the models are deterministic and results realign
-with the input order); only wall-clock and resource usage differ.  A
-batch of one prompt never takes a batch entry point, so per-call
-extras a batch path may drop (a transformer's attention) survive.
+with the input order); only wall-clock and resource usage differ.
 
 Choosing a backend
 ------------------
@@ -58,7 +56,6 @@ from ..llm.base import (
     batched_generate,
     pooled_generate,
     run_coroutine,
-    sequential_generate,
 )
 
 #: Thread-pool width when ``threaded`` is requested without a count.
@@ -96,8 +93,7 @@ class ExecutionBackend:
     """Strategy for executing one batch of prompts against one model.
 
     Subclasses implement :meth:`_dispatch`; :meth:`run` wraps it in the
-    shared :class:`BackendStats` accounting and answers a one-prompt
-    batch for a model with a native batch by one ``generate`` call.
+    shared :class:`BackendStats` accounting.
 
     Attributes
     ----------
@@ -140,8 +136,6 @@ class ExecutionBackend:
             self.stats.active += 1
             self.stats.max_active = max(self.stats.max_active, self.stats.active)
         try:
-            if len(prompts) == 1 and _has_native_batch(model):
-                return sequential_generate(model, prompts, timeout=self.timeout)
             return self._dispatch(model, prompts)
         finally:
             with self._stats_lock:
@@ -159,9 +153,9 @@ class ExecutionBackend:
 class ThreadedBackend(ExecutionBackend):
     """A thread pool of concurrent ``generate`` calls.
 
-    A native batch entry point still takes precedence for batches of
-    more than one prompt (re-slicing the same compute across threads
-    cannot beat it, and for padded transformer batches would regress);
+    A native batch entry point still takes precedence (re-slicing the
+    same compute across threads cannot beat it, and for padded
+    transformer batches would regress);
     the pool engages exactly when the model exposes only per-prompt
     calls, and is clamped to the batch size so small batches stop
     spawning idle threads.

@@ -22,10 +22,8 @@ with these guarantees, which all callers rely on:
 * **Alignment** — exactly one result per input prompt, in input order.
 * **Equivalence** — ``generate_batch(ps)[i].answer`` equals
   ``generate(ps[i]).answer`` for deterministic models, and the async
-  entry points answer exactly as their sync counterparts.  Auxiliary
-  fields are best-effort: a backend may omit per-token attention in
-  batch mode when materializing it per prompt would negate the batching
-  win (answers, usage and diagnostics must still be populated).
+  entry points answer exactly as their sync counterparts (usage and
+  diagnostics are populated on every path).
 * **No partial failure** — a backend either answers every prompt or
   raises; callers never receive a short list.
 
@@ -51,6 +49,20 @@ identical either way.  Callers never probe for these methods
 themselves: the :mod:`repro.exec` backends call these helpers, and own
 every execution-policy decision beyond per-call dispatch (width,
 in-flight bound, deadline).
+
+Attention on request
+--------------------
+A model that exposes its attention additionally implements::
+
+    attention(prompt: str) -> List[float]
+
+returning, for each source in the prompt and in prompt order, the
+attention the answer position pays to that source's tokens, summed
+over all layers, heads and tokens (0.0 for a source with no tokens).
+It is the only input to the paper's attention-based relevance method
+(:class:`repro.core.scoring.AttentionRelevance`), which calls it once
+per explanation on the model itself: attention is never part of a
+:class:`GenerationResult`, so it is never cached, stored or batched.
 """
 
 from __future__ import annotations
@@ -70,7 +82,6 @@ from typing import (
     runtime_checkable,
 )
 
-from ..attention.model import AttentionTrace
 from ..errors import BatchContractError, ConfigError, GenerationTimeoutError
 
 
@@ -97,9 +108,6 @@ class GenerationResult:
         The raw answer string (pre-normalization).
     prompt:
         The exact prompt that produced it.
-    attention:
-        Synthetic (or real) attention trace over the prompt's sources;
-        ``None`` when the model does not expose attention.
     usage:
         Token accounting.
     diagnostics:
@@ -110,7 +118,6 @@ class GenerationResult:
 
     answer: str
     prompt: str
-    attention: Optional[AttentionTrace] = None
     usage: TokenUsage = field(default_factory=TokenUsage)
     diagnostics: Dict[str, object] = field(default_factory=dict)
 

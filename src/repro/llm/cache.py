@@ -148,12 +148,8 @@ class CachingLLM:
         return self._model
 
     def generate(self, prompt: str) -> GenerationResult:
-        """Serve from memory, disk, or a flight in progress; else delegate.
-
-        A miss reaches the backend as a one-prompt batch, which the
-        backend runs as one ``generate`` call on the inner model (so
-        per-call extras such as attention survive).
-        """
+        """Serve from memory, disk, or a flight in progress; else delegate
+        the miss to the backend as a one-prompt batch."""
         results, _ = self._resolve([prompt])
         return results[0]
 

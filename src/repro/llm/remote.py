@@ -374,7 +374,6 @@ class RemoteLLM:
         return GenerationResult(
             answer=answer,
             prompt=prompt,
-            attention=None,
             usage=usage,
             diagnostics={"provider": self.provider, "endpoint": self._url},
         )

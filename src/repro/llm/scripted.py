@@ -95,7 +95,6 @@ class ScriptedLLM:
         return GenerationResult(
             answer=answer,
             prompt=prompt,
-            attention=None,
             usage=TokenUsage(
                 prompt_tokens=len(prompt.split()),
                 completion_tokens=len(answer.split()),

@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..attention.model import AttentionModel, AttentionTrace
+from ..attention.model import AttentionModel
 from ..attention.positional import PositionPrior, position_weights
 from ..errors import ConfigError
 from ..textproc import Tokenizer, normalize_entity
@@ -78,8 +78,6 @@ class SimulatedLLMConfig:
     superlative_strength: float = 1.5
     rank_first_strength: float = 1.0
     award_strength: float = 1.0
-    num_layers: int = 4
-    num_heads: int = 4
     unknown_answer: str = "I do not know"
 
     def __post_init__(self) -> None:
@@ -143,8 +141,6 @@ class SimulatedLLM:
         self._tokenizer = Tokenizer()
         self._extractor = ClaimExtractor(self._tokenizer)
         self._attention = AttentionModel(
-            num_layers=self.config.num_layers,
-            num_heads=self.config.num_heads,
             prior=self.config.prior,
             seed=seed,
             depth=self.config.prior_depth,
@@ -219,14 +215,18 @@ class SimulatedLLM:
         # repro: disable=async-hygiene -- pure CPU simulation, no I/O to overlap.
         return self.generate_batch(prompts)
 
+    def attention(self, prompt: str) -> List[float]:
+        """Synthetic attention per source of the prompt, summed over
+        layers, heads and tokens (see :mod:`repro.attention.model`)."""
+        parsed = parse_prompt(prompt)
+        return self._attention.trace(parsed.question, parsed.source_texts)
+
     def _answer_one(self, prompt: str, parsed, question: ParsedQuestion) -> GenerationResult:
         """Shared result construction for both generation entry points."""
-        trace = self._attention.trace(parsed.question, parsed.source_texts)
         answer, votes = self._decide(question, parsed.source_texts)
         return GenerationResult(
             answer=answer,
             prompt=prompt,
-            attention=trace,
             usage=TokenUsage(
                 prompt_tokens=len(prompt.split()),
                 completion_tokens=len(answer.split()),

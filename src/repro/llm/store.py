@@ -40,13 +40,12 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, Optional
 
-from ..attention.model import AttentionTrace, TokenAttention
 from ..errors import ConfigError, StoreDecodeError
 from .base import GenerationResult, TokenUsage
 
 #: Serialization schema version; bump on incompatible layout changes so
 #: old entries read as misses instead of mis-parsing.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _META_NAME = "_meta.json"
 _META_LOCK_NAME = "_meta.lock"
@@ -90,43 +89,6 @@ def store_key(
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _encode_attention(trace: Optional[AttentionTrace]) -> Optional[Dict[str, object]]:
-    if trace is None:
-        return None
-    return {
-        "num_layers": trace.num_layers,
-        "num_heads": trace.num_heads,
-        "tokens": [
-            {
-                "token": entry.token,
-                "source_index": entry.source_index,
-                "values": [list(layer) for layer in entry.values],
-            }
-            for entry in trace.tokens
-        ],
-    }
-
-
-def _decode_attention(payload: Optional[Dict]) -> Optional[AttentionTrace]:
-    if payload is None:
-        return None
-    trace = AttentionTrace(
-        num_layers=int(payload["num_layers"]),
-        num_heads=int(payload["num_heads"]),
-    )
-    for entry in payload["tokens"]:
-        trace.tokens.append(
-            TokenAttention(
-                token=str(entry["token"]),
-                source_index=int(entry["source_index"]),
-                values=tuple(
-                    tuple(float(v) for v in layer) for layer in entry["values"]
-                ),
-            )
-        )
-    return trace
-
-
 def encode_result(result: GenerationResult) -> Dict[str, object]:
     """JSON-safe payload for one generation (see :func:`decode_result`)."""
     # Diagnostics are model-specific and informational; round-trip them
@@ -141,7 +103,6 @@ def encode_result(result: GenerationResult) -> Dict[str, object]:
         "prompt": result.prompt,
         "usage": asdict(result.usage),
         "diagnostics": diagnostics,
-        "attention": _encode_attention(result.attention),
     }
 
 
@@ -156,7 +117,6 @@ def decode_result(payload: Dict) -> GenerationResult:
     return GenerationResult(
         answer=str(payload["answer"]),
         prompt=str(payload["prompt"]),
-        attention=_decode_attention(payload.get("attention")),
         usage=TokenUsage(
             prompt_tokens=int(usage["prompt_tokens"]),
             completion_tokens=int(usage["completion_tokens"]),

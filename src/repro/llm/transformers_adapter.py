@@ -20,7 +20,6 @@ from __future__ import annotations
 import asyncio
 from typing import List, Optional, Sequence
 
-from ..attention.model import AttentionTrace, TokenAttention
 from ..errors import GenerationError
 from .base import GenerationResult, TokenUsage
 from .prompts import parse_prompt
@@ -111,9 +110,7 @@ class TransformersLLM:
                 "repro.llm.SimulatedLLM or install transformers+torch"
             ) from error
         tokenizer = AutoTokenizer.from_pretrained(model_name)
-        model = AutoModelForCausalLM.from_pretrained(
-            model_name, output_attentions=True
-        )
+        model = AutoModelForCausalLM.from_pretrained(model_name)
         if device is not None:
             model = model.to(device)
         return tokenizer, model
@@ -130,8 +127,8 @@ class TransformersLLM:
         return {"max_new_tokens": self.max_new_tokens}
 
     def generate(self, prompt: str) -> GenerationResult:
-        """Tokenize, generate, decode, and expose per-source attention."""
-        parsed = parse_prompt(prompt)  # validates the prompt contract
+        """Tokenize, generate and decode one prompt."""
+        parse_prompt(prompt)  # validates the prompt contract
         encoded = self._tokenizer(prompt, return_tensors="pt")
         if self.device is not None and hasattr(encoded, "to"):
             encoded = encoded.to(self.device)
@@ -139,17 +136,14 @@ class TransformersLLM:
             **encoded,
             max_new_tokens=self.max_new_tokens,
             do_sample=False,  # deterministic: RAGE perturbs, it must not sample
-            output_attentions=True,
             return_dict_in_generate=True,
         )
         prompt_length = encoded["input_ids"].shape[-1]
         answer_ids = output.sequences[0][prompt_length:]
         answer = self._tokenizer.decode(answer_ids, skip_special_tokens=True).strip()
-        trace = self._attention_trace(parsed, prompt, output)
         return GenerationResult(
             answer=answer,
             prompt=prompt,
-            attention=trace,
             usage=TokenUsage(
                 prompt_tokens=int(prompt_length),
                 completion_tokens=int(len(answer_ids)),
@@ -162,11 +156,7 @@ class TransformersLLM:
 
         All prompts are tokenized together with left padding (decoder-
         only models generate from the rightmost position, so padding
-        must sit on the left) and decoded row by row.  Per the batching
-        contract in :mod:`repro.llm.base`, attention traces are omitted
-        in batch mode — materializing full per-token attention for every
-        row would negate the batching win; use :meth:`generate` where a
-        trace is required.
+        must sit on the left) and decoded row by row.
         """
         if not prompts:
             return []
@@ -220,7 +210,6 @@ class TransformersLLM:
                 GenerationResult(
                     answer=answer,
                     prompt=prompt,
-                    attention=None,
                     usage=TokenUsage(
                         prompt_tokens=real_tokens,
                         completion_tokens=_completion_count(answer_ids, pad_id),
@@ -240,31 +229,44 @@ class TransformersLLM:
         """Async :meth:`generate_batch`, off-loop for the same reason."""
         return await asyncio.to_thread(self.generate_batch, list(prompts))
 
-    def _attention_trace(self, parsed, prompt: str, output) -> Optional[AttentionTrace]:
-        """Fold HF attention tensors into the library's trace structure.
+    def attention(self, prompt: str) -> List[float]:
+        """Attention the answer position pays to each source's tokens,
+        summed over layers, heads and tokens (see :mod:`repro.llm.base`).
 
-        Maps each prompt token to its source by character offsets, then
-        stores the last-position attention row per layer/head — exactly
-        the values the paper sums over layers, heads and tokens.
+        Runs the prompt once with ``output_attentions=True`` and reads
+        the prompt-wide attention of the first generation step: each
+        prompt token is mapped to its source by character offsets, and
+        its last-position row is summed over heads within a layer, then
+        over layers, then added into its source.
         """
+        parsed = parse_prompt(prompt)
+        encoded = self._tokenizer(prompt, return_tensors="pt")
+        if self.device is not None and hasattr(encoded, "to"):
+            encoded = encoded.to(self.device)
+        output = self._model.generate(
+            **encoded,
+            max_new_tokens=1,
+            do_sample=False,
+            output_attentions=True,
+            return_dict_in_generate=True,
+        )
         attentions = getattr(output, "attentions", None)
-        if not attentions:
-            return None
-        first_step = attentions[0]  # tuple over layers, prompt-wide
-        num_layers = len(first_step)
-        num_heads = first_step[0].shape[1]
         offsets = self._tokenizer(
             prompt, return_offsets_mapping=True
         ).get("offset_mapping")
-        if offsets is None:
-            return None
+        if not attentions or offsets is None:
+            raise GenerationError(
+                f"{self.name}: the model returned no attentions or the "
+                "tokenizer no offset mapping"
+            )
+        layers = attentions[0]  # first step: one tensor per layer, prompt-wide
         source_spans = []
         cursor = 0
         for text in parsed.source_texts:
             start = prompt.find(text, cursor)
             source_spans.append((start, start + len(text)))
             cursor = start + len(text)
-        trace = AttentionTrace(num_layers=num_layers, num_heads=num_heads)
+        totals = [0.0] * len(source_spans)
         for token_index, (start, end) in enumerate(offsets):
             source_index = next(
                 (
@@ -276,18 +278,11 @@ class TransformersLLM:
             )
             if source_index is None:
                 continue
-            values = tuple(
-                tuple(
-                    float(first_step[layer][0, head, -1, token_index])
-                    for head in range(num_heads)
+            totals[source_index] += sum(
+                sum(
+                    float(layer[0, head, -1, token_index])
+                    for head in range(layer.shape[1])
                 )
-                for layer in range(num_layers)
+                for layer in layers
             )
-            trace.tokens.append(
-                TokenAttention(
-                    token=prompt[start:end],
-                    source_index=source_index,
-                    values=values,
-                )
-            )
-        return trace
+        return totals

@@ -7,13 +7,15 @@ import pytest
 from repro.attention import (
     AttentionModel,
     PositionPrior,
-    aggregate_by_source,
     combination_score,
     normalize_scores,
+    position_weights,
     rank_sources,
-    source_attention_scores,
 )
-from repro.errors import ConfigError
+from repro.attention.model import NUM_HEADS, NUM_LAYERS
+from repro.core import AttentionRelevance, Context
+from repro.llm import PromptBuilder, SimulatedLLM
+from repro.retrieval import Document
 
 QUERY = "who won the championship"
 SOURCES = [
@@ -25,71 +27,72 @@ SOURCES = [
 
 @pytest.fixture(scope="module")
 def model():
-    return AttentionModel(num_layers=3, num_heads=2, seed=1, depth=0.8)
+    return AttentionModel(seed=1, depth=0.8)
 
 
 def test_trace_shape(model):
-    trace = model.trace(QUERY, SOURCES)
-    assert trace.num_layers == 3
-    assert trace.num_heads == 2
-    assert all(len(entry.values) == 3 for entry in trace.tokens)
-    assert all(len(layer) == 2 for entry in trace.tokens for layer in entry.values)
+    """One per-source total for each source, in prompt order."""
+    totals = model.trace(QUERY, SOURCES)
+    assert len(totals) == len(SOURCES)
+    assert all(value > 0 for value in totals)
 
 
 def test_trace_deterministic(model):
-    t1 = model.trace(QUERY, SOURCES)
-    t2 = model.trace(QUERY, SOURCES)
-    assert t1.source_totals == t2.source_totals
+    assert model.trace(QUERY, SOURCES) == model.trace(QUERY, SOURCES)
 
 
 def test_different_seed_different_values():
     a = AttentionModel(seed=1).trace(QUERY, SOURCES)
     b = AttentionModel(seed=2).trace(QUERY, SOURCES)
-    assert a.source_totals != b.source_totals
+    assert a != b
 
 
 def test_empty_context(model):
-    trace = model.trace(QUERY, [])
-    assert trace.source_totals == []
-    assert trace.source_share() == []
+    assert model.trace(QUERY, []) == []
+
+
+def test_aggregate_missing_sources(model):
+    """Every source gets a total, including one with no tokens — even
+    in last position."""
+    totals = model.trace(QUERY, SOURCES + ["  ...  "])
+    assert len(totals) == 4
+    assert totals[3] == 0.0
+    assert all(value > 0 for value in totals[:3])
 
 
 def test_positional_bias_visible(model):
     """With a V prior, identical texts at the ends out-attend the middle."""
     same = ["identical text about the championship"] * 5
-    trace = model.trace(QUERY, same)
-    totals = trace.source_totals
+    totals = model.trace(QUERY, same)
     assert totals[0] > totals[2]
     assert totals[4] > totals[2]
 
 
-def test_salient_tokens_attract_attention(model):
-    trace = model.trace(QUERY, SOURCES)
-    by_source = {}
-    for entry in trace.tokens:
-        by_source.setdefault(entry.source_index, []).append(entry)
-    champ_tokens = [e for e in by_source[0] if e.token.lower() == "championship"]
-    other_tokens = [e for e in by_source[0] if e.token.lower() == "season"]
-    assert champ_tokens and other_tokens
-    assert champ_tokens[0].total() > other_tokens[0].total()
+def test_totals_follow_the_position_prior(model):
+    """Salience only moves attention between a source's own tokens, and
+    the hash noise scales each value by (0.5, 1.5): so a source's total
+    is its prior weight times the layer x head count, within that band."""
+    totals = model.trace(QUERY, SOURCES)
+    weights = position_weights(model.prior, len(SOURCES), depth=model.depth)
+    cells = NUM_LAYERS * NUM_HEADS
+    for total, weight in zip(totals, weights):
+        assert 0.5 * cells * weight < total < 1.5 * cells * weight
 
 
 def test_source_share_sums_to_one(model):
-    share = model.trace(QUERY, SOURCES).source_share()
-    assert math.isclose(sum(share), 1.0, rel_tol=1e-9)
+    share = normalize_scores(dict(enumerate(model.trace(QUERY, SOURCES))))
+    assert math.isclose(sum(share.values()), 1.0, rel_tol=1e-9)
 
 
-def test_aggregate_by_source(model):
-    trace = model.trace(QUERY, SOURCES)
-    scores = aggregate_by_source(trace, ["a", "b", "c"])
-    assert set(scores) == {"a", "b", "c"}
-    assert scores["a"] == pytest.approx(trace.source_totals[0])
-
-
-def test_aggregate_missing_sources(model):
-    trace = model.trace(QUERY, SOURCES[:2])
-    scores = aggregate_by_source(trace, ["a", "b", "c"])
-    assert scores["c"] == 0.0
+def test_aggregate_by_source():
+    """Attention relevance keys the model's per-source totals by the
+    context's document ids, in context order."""
+    docs = [Document(doc_id=f"doc-{i}", text=text) for i, text in enumerate(SOURCES)]
+    context = Context.from_documents(QUERY, docs)
+    llm = SimulatedLLM()
+    prompt = PromptBuilder().build(QUERY, SOURCES)
+    raw = AttentionRelevance(llm, normalize=False).scores(context)
+    assert raw == dict(zip(context.doc_ids(), llm.attention(prompt)))
 
 
 def test_combination_score_is_sum():
@@ -110,23 +113,10 @@ def test_rank_sources():
     assert rank_sources({"b": 1.0, "a": 1.0}) == ["a", "b"]  # id tiebreak
 
 
-def test_source_attention_scores(model):
-    trace = model.trace(QUERY, SOURCES)
-    scores = source_attention_scores(trace)
-    assert set(scores) == {0, 1, 2}
-
-
-def test_invalid_model_shape():
-    with pytest.raises(ConfigError):
-        AttentionModel(num_layers=0)
-    with pytest.raises(ConfigError):
-        AttentionModel(num_heads=0)
-
-
 def test_uniform_prior_no_position_bias():
     model = AttentionModel(prior=PositionPrior.UNIFORM, seed=3)
     same = ["identical words here"] * 4
-    totals = model.trace(QUERY, same).source_totals
+    totals = model.trace(QUERY, same)
     # Hash noise varies per (source, token) but stays within (0.5, 1.5)x
     # of the base, so no position can dominate by more than 3x.
     assert max(totals) / min(totals) < 3.0

@@ -43,7 +43,7 @@ def test_ask(big_three_engine, big_three):
     result = big_three_engine.ask(big_three.query)
     assert result.answer == big_three.expected_answer
     assert result.context.doc_ids() == tuple(big_three.expected_context)
-    assert result.generation.attention is not None
+    assert result.generation.answer == result.answer
 
 
 def test_ask_with_prebuilt_context(big_three_engine, big_three):
@@ -177,29 +177,47 @@ def test_cache_effect_across_calls(big_three, big_three_engine):
     assert big_three_engine.llm.stats.misses == stats_before
 
 
-def test_ask_keeps_attention_when_batch_path_drops_it(big_three):
-    """ask()'s full-context miss is one prompt, so it reaches the inner
-    model's ``generate`` — never a batch path that may omit attention."""
-    from dataclasses import replace
-
+def test_attention_relevance_after_a_shared_store_filled_by_batches(big_three, tmp_path):
+    """Attention is asked of the model, never read from a stored
+    generation: a store filled through a batch path that answers
+    without attention (as a padded transformer batch does) cannot
+    starve a later attention-relevance explain sharing the directory."""
     from repro.core.scoring import make_scorer
+    from repro.llm import GenerationResult
 
-    class BatchDropsAttention(SimulatedLLM):
+    class BatchWithoutAttention(SimulatedLLM):
         def generate_batch(self, prompts):
             return [
-                replace(result, attention=None)
+                GenerationResult(
+                    answer=result.answer,
+                    prompt=result.prompt,
+                    usage=result.usage,
+                    diagnostics=result.diagnostics,
+                )
                 for result in super().generate_batch(prompts)
             ]
 
-    config = RageConfig(k=big_three.k, relevance_method=RelevanceMethod.ATTENTION)
-    rage = Rage.from_corpus(
-        big_three.corpus, BatchDropsAttention(knowledge=big_three.knowledge), config=config
+    store = str(tmp_path / "store")
+    first = Rage.from_corpus(
+        big_three.corpus,
+        BatchWithoutAttention(knowledge=big_three.knowledge),
+        config=RageConfig(k=4, cache_dir=store),
     )
-    answered = rage.ask(big_three.query)
-    assert answered.generation.attention is not None
-    direct = SimulatedLLM(knowledge=big_three.knowledge)
+    first.explain(big_three.query)
+    second = Rage.from_corpus(
+        big_three.corpus,
+        BatchWithoutAttention(knowledge=big_three.knowledge),
+        config=RageConfig(
+            k=3, cache_dir=store, relevance_method=RelevanceMethod.ATTENTION
+        ),
+    )
+    report = second.explain(big_three.query)
+    assert second.store.stats.hits > 0  # the shared store did serve it
+    context = second.retrieve(big_three.query)
     expected = make_scorer(
-        RelevanceMethod.ATTENTION, llm=direct, prompt_builder=rage.prompt_builder
-    ).scores(answered.context)
-    assert rage.relevance_scores(answered.context) == expected
-    assert rage.explain(big_three.query).answer == answered.answer
+        RelevanceMethod.ATTENTION,
+        llm=SimulatedLLM(knowledge=big_three.knowledge),
+        prompt_builder=second.prompt_builder,
+    ).scores(context)
+    assert second.relevance_scores(context) == expected
+    assert report.answer == second.ask(big_three.query).answer

@@ -58,13 +58,6 @@ def test_generation_bypasses_memo(big_three_engine, big_three_context):
     assert evaluator.llm_calls == 2
 
 
-def test_generation_returns_attention(big_three_engine, big_three_context):
-    evaluator = ContextEvaluator(big_three_engine.llm, big_three_context)
-    result = evaluator.generation(big_three_context.doc_ids())
-    assert result.attention is not None
-    assert len(result.attention.source_totals) == big_three_context.k
-
-
 def test_evaluate_many_deduplicates_and_aligns():
     context, llm = _scripted_world()
     evaluator = ContextEvaluator(llm, context)

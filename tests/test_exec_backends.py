@@ -167,21 +167,6 @@ def test_asyncio_backend_overlaps_and_bounds_inflight():
     assert 1 <= bounded.max_inflight <= 2
 
 
-@pytest.mark.parametrize(
-    "backend_factory",
-    [SerialBackend, lambda: ThreadedBackend(3), lambda: AsyncioBackend(3)],
-    ids=["serial", "threaded", "asyncio"],
-)
-def test_single_prompt_batch_is_one_generate_call(backend_factory):
-    """A batch of one never takes a native batch path, which may drop
-    per-call extras such as a transformer's attention."""
-    model = NativeBatch()
-    results = backend_factory().run(model, _prompts(1))
-    assert len(results) == 1
-    assert model.batches == 0 and model.calls == 1
-    assert model.threads == {threading.get_ident()}
-
-
 def test_base_backend_run_is_abstract():
     with pytest.raises(NotImplementedError):
         ExecutionBackend().run(Instrumented(), _prompts(1))

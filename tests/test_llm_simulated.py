@@ -235,12 +235,20 @@ def test_diagnostics_and_usage():
     assert result.usage.total_tokens == result.usage.prompt_tokens + 2
 
 
-def test_attention_trace_attached():
+def test_attention_on_request():
+    """Generations carry no attention; ``attention(prompt)`` returns one
+    per-source total per source, in prompt order."""
     question = "Who is the best archer in the kingdom?"
-    docs = ["Robin Hood is widely considered the best archer in the kingdom."]
-    result = SimulatedLLM().generate(BUILDER.build(question, docs))
-    assert result.attention is not None
-    assert len(result.attention.source_totals) == 1
+    docs = [
+        "Robin Hood is widely considered the best archer in the kingdom.",
+        "The kingdom hosts a tournament every spring.",
+    ]
+    llm = SimulatedLLM()
+    prompt = BUILDER.build(question, docs)
+    assert not hasattr(llm.generate(prompt), "attention")
+    totals = llm.attention(prompt)
+    assert len(totals) == 2 and all(total > 0 for total in totals)
+    assert llm.attention(BUILDER.build(question, [])) == []
 
 
 def test_name_reflects_config():

@@ -10,10 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.attention.model import AttentionTrace, TokenAttention
+from repro import Rage, RageConfig
+from repro.datasets import make_timeline_world
 from repro.errors import ConfigError
-from repro.llm import GenerationResult, PromptStore, SimulatedLLM, TokenUsage, store_key
-from repro.llm.store import decode_result, encode_result
+from repro.llm import (
+    GenerationResult,
+    PromptBuilder,
+    PromptStore,
+    SimulatedLLM,
+    TokenUsage,
+    store_key,
+)
+from repro.llm.store import SCHEMA_VERSION, decode_result, encode_result
 
 
 def _result(answer="Roger Federer", prompt="Question: q\n1. s\nAnswer:") -> GenerationResult:
@@ -55,24 +63,7 @@ def test_round_trip_preserves_result(tmp_path):
     assert loaded.prompt == original.prompt
     assert loaded.usage == original.usage
     assert loaded.diagnostics == original.diagnostics
-    assert loaded.attention is None
     assert store.stats.hits == 1 and store.stats.writes == 1
-
-
-def test_round_trip_preserves_attention_trace(tmp_path):
-    trace = AttentionTrace(num_layers=2, num_heads=2)
-    trace.tokens.append(
-        TokenAttention(token="federer", source_index=1, values=((0.5, 0.25), (0.125, 1.0)))
-    )
-    result = _result()
-    result.attention = trace
-    store = PromptStore(tmp_path)
-    store.put("model", result.prompt, result)
-    loaded = store.get("model", result.prompt)
-    assert loaded.attention is not None
-    assert loaded.attention.num_layers == 2
-    assert loaded.attention.tokens == trace.tokens
-    assert loaded.attention.source_totals == trace.source_totals
 
 
 def test_round_trip_simulated_generation_is_faithful(tmp_path):
@@ -86,11 +77,72 @@ def test_round_trip_simulated_generation_is_faithful(tmp_path):
     store = PromptStore(tmp_path)
     store.put(llm.name, prompt, real)
     loaded = store.get(llm.name, prompt)
-    assert loaded.answer == real.answer
-    assert loaded.usage == real.usage
-    assert [t.token for t in loaded.attention.tokens] == [
-        t.token for t in real.attention.tokens
-    ]
+    assert loaded == real
+
+
+def test_round_trip_preserves_attention_trace(tmp_path):
+    """Entries hold no attention, and need none: attention is asked of
+    the model on request, and the stored prompt gives back the same
+    per-source totals."""
+    llm = SimulatedLLM()
+    prompt = PromptBuilder().build(
+        "Who is the best tennis player?",
+        ["Roger Federer is widely considered the best player.", "Rafael Nadal won."],
+    )
+    store = PromptStore(tmp_path)
+    store.put(llm.name, prompt, llm.generate(prompt))
+    entry = json.loads(store.path_for(llm.name, prompt).read_text())
+    assert set(entry) == {"version", "answer", "prompt", "usage", "diagnostics"}
+    loaded = store.get(llm.name, prompt)
+    assert llm.attention(loaded.prompt) == llm.attention(prompt)
+    assert len(llm.attention(prompt)) == 2
+
+
+def test_old_layout_entry_is_a_miss_and_is_rewritten(tmp_path):
+    """An entry in the version-1 layout, which carried a per-token
+    attention tensor, reads as a corrupt miss, is deleted, and the next
+    put writes it in the current layout."""
+    store = PromptStore(tmp_path)
+    result = _result()
+    path = store.path_for("model", result.prompt)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    old = {
+        "version": 1,
+        "answer": result.answer,
+        "prompt": result.prompt,
+        "usage": {"prompt_tokens": 7, "completion_tokens": 2},
+        "diagnostics": {},
+        "attention": {
+            "num_layers": 2,
+            "num_heads": 2,
+            "tokens": [
+                {"token": "federer", "source_index": 0,
+                 "values": [[0.5, 0.25], [0.125, 1.0]]},
+            ],
+        },
+    }
+    path.write_text(json.dumps(old))
+    assert store.get("model", result.prompt) is None
+    assert store.stats.misses == 1 and store.stats.corrupt == 1
+    assert not path.exists()
+    store.put("model", result.prompt, result)
+    rewritten = json.loads(path.read_text())
+    assert rewritten["version"] == SCHEMA_VERSION == 2
+    assert "attention" not in rewritten
+    assert store.get("model", result.prompt) == result
+
+
+def test_cold_explain_writes_small_entries(tmp_path):
+    """A cold k = 10 explain stores answers only: no entry tops 2 KB."""
+    world = make_timeline_world(10, seed=7)
+    rage = Rage.from_corpus(
+        world.corpus,
+        SimulatedLLM(knowledge=world.knowledge),
+        config=RageConfig(k=10, cache_dir=str(tmp_path)),
+    )
+    rage.explain(world.query)
+    sizes = [path.stat().st_size for path in rage.store.entries()]
+    assert sizes and max(sizes) <= 2048
 
 
 @settings(max_examples=25, deadline=None)

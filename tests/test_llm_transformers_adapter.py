@@ -92,12 +92,14 @@ class _FakeModel:
         prompt_tokens = input_ids.values
         answer_ids = [1, 2]
         num_layers, num_heads = 2, 3
-        attentions = (
-            tuple(
-                _FakeLayerAttention(num_heads, len(prompt_tokens))
-                for _ in range(num_layers)
-            ),
-        )
+        attentions = None
+        if kwargs.get("output_attentions"):
+            attentions = (
+                tuple(
+                    _FakeLayerAttention(num_heads, len(prompt_tokens))
+                    for _ in range(num_layers)
+                ),
+            )
         return _FakeOutput(
             sequences=[_FakeTensor(prompt_tokens + answer_ids)],
             attentions=attentions,
@@ -134,25 +136,55 @@ def test_generate_decodes_answer():
 
 
 def test_generation_is_greedy_and_attention_enabled():
+    """Generation is greedy and never asks for attentions; only
+    ``attention()`` does."""
     adapter, model = _adapter()
-    adapter.generate(BUILDER.build("q?", ["text"]))
+    prompt = BUILDER.build("q?", ["text"])
+    adapter.generate(prompt)
+    assert model.generate_kwargs["do_sample"] is False
+    assert model.generate_kwargs["return_dict_in_generate"] is True
+    assert "output_attentions" not in model.generate_kwargs
+    adapter.attention(prompt)
     assert model.generate_kwargs["do_sample"] is False
     assert model.generate_kwargs["output_attentions"] is True
-    assert model.generate_kwargs["return_dict_in_generate"] is True
+    assert model.generate_kwargs["max_new_tokens"] == 1
+
+
+#: Per-source totals recorded from the per-token implementation these
+#: totals must match bit for bit.
+RECORDED_TOTALS = [
+    (["alpha beta", "gamma delta epsilon"],
+     ["0x1.1db22d0e56042p-1", "0x1.d604189374bc6p-1"]),
+    (["one two three", "four", "five six"],
+     ["0x1.b126e978d4fe0p-1", "0x1.395810624dd2fp-2", "0x1.4ed916872b021p-1"]),
+]
 
 
 def test_attention_trace_maps_tokens_to_sources():
+    """Each prompt token's last-position attention is summed into the
+    source whose characters it covers; question and template tokens
+    count for no source."""
     adapter, _ = _adapter()
-    prompt = BUILDER.build("q?", ["alpha beta", "gamma delta epsilon"])
-    result = adapter.generate(prompt)
-    trace = result.attention
-    assert trace is not None
-    by_source = {}
-    for entry in trace.tokens:
-        by_source.setdefault(entry.source_index, []).append(entry.token)
-    assert by_source[0] == ["alpha", "beta"]
-    assert by_source[1] == ["gamma", "delta", "epsilon"]
-    assert trace.num_layers == 2 and trace.num_heads == 3
+    for sources, expected in RECORDED_TOTALS:
+        totals = adapter.attention(BUILDER.build("q?", sources))
+        assert [total.hex() for total in totals] == expected
+
+
+def test_attention_without_attentions_is_an_error():
+    tokenizer = _FakeTokenizer()
+
+    class NoAttentions(_FakeModel):
+        def generate(self, input_ids=None, **kwargs):
+            output = super().generate(input_ids=input_ids, **kwargs)
+            output.attentions = None
+            return output
+
+    adapter = TransformersLLM(
+        model_name="fake/none",
+        loader=lambda name, device: (tokenizer, NoAttentions(tokenizer)),
+    )
+    with pytest.raises(GenerationError):
+        adapter.attention(BUILDER.build("q?", ["text"]))
 
 
 def test_adapter_drives_explanations():
@@ -260,8 +292,7 @@ def test_generate_batch_true_batched_inference():
     assert model.batch_calls == 1  # one padded call for the whole batch
     assert [r.answer for r in results] == ["answer-0", "answer-1", "answer-2"]
     assert [r.prompt for r in results] == prompts
-    # batch mode omits attention per the contract, but keeps usage honest
-    assert all(r.attention is None for r in results)
+    # usage counts real tokens, not the batch padding
     assert [r.usage.prompt_tokens for r in results] == [
         len(p.split()) for p in prompts
     ]
